@@ -321,6 +321,16 @@ class DiscreteDomain:
         return self._weights
 
     @property
+    def safe_weights(self):
+        """Pole masses with nonpositive entries replaced by 1.
+
+        The divisor that turns exit masses into densities against the pole
+        measure; the nodes it guards are excluded from kernel supports.
+        """
+        w = self.hm_weights
+        return np.where(w > 0, w, 1.0)
+
+    @property
     def excluded_nodes(self):
         """Boundary nodes of negligible pole mass, excluded from kernel supports."""
         w = self.hm_weights
@@ -388,10 +398,16 @@ class DiscreteDomain:
                 raise ConvergenceError(
                     f"one-step operator eigendecomposition inaccurate ({recon:.2e})"
                 )
-            # rough eigenbases (reentrant profiles) fall back to Schur-Pade powers
-            self._eig = (vals, V, Vinv) if recon <= 1e-6 else None
-            if self._eig is None:
+            if recon > 1e-6:
+                # rough eigenbases (reentrant profiles) fall back to Schur-Pade powers
                 self._eig = "schur"
+            else:
+                vals = np.where(np.abs(vals) < 1e-14, 0.0, vals)
+                eig = (vals, V, Vinv)
+                if not any(np.any(a.imag) for a in eig) and np.all(vals.real >= 0):
+                    # real spectrum in [0, inf): every fractional power is real
+                    eig = tuple(a.real for a in eig)
+                self._eig = eig
         return self._eig
 
     def power_rows(self, y):
@@ -418,12 +434,34 @@ class DiscreteDomain:
                     out = np.real(sla.fractional_matrix_power(self.kernel_table()[1], s))
             else:
                 vals, V, Vinv = eig
-                lam = np.where(np.abs(vals) < 1e-14, 0.0, vals)
-                out = ((V * lam ** s) @ Vinv).real
+                out = ((V * vals ** s) @ Vinv).real
         if len(self._powers) > 160:
             self._powers.clear()
         self._powers[key] = out
         return out
+
+    def power_sum(self, terms):
+        """Sum of w_q G^(y_q/h) X_q over an iterable of (y_q, w_q, X_q).
+
+        Terms are consumed one at a time, so no more than one X_q is held.
+        On the eigen path each X_q is moved into the eigenbasis, scaled by
+        w_q lambda^(y_q/h) and accumulated there; the sum goes back through
+        V once.  The Schur path sums ``power_rows`` products.
+        """
+        eig = self._eigensystem()
+        acc = 0.0
+        if eig == "schur":
+            for y, wq, X in terms:
+                term = self.power_rows(y) @ X
+                term *= wq
+                acc += term
+            return acc
+        vals, V, Vinv = eig
+        for y, wq, X in terms:
+            term = Vinv @ X
+            term *= (wq * vals ** (y / self.h))[:, None]
+            acc += term
+        return (V @ acc).real
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Closed-form half-plane potential theory.
 
 Everything here is exact arithmetic on the upper half-plane: the Poisson
-density, arc measures and their gradients, and the reflected Green's
-function.  These expressions serve two roles: independent oracles for the
-flat-boundary tests, and far-field Dirichlet data for the ``halfplane``
-closure of a truncated domain.
+density, arc measures and their gradients, and cell masses.  These
+expressions serve two roles: independent oracles for the flat-boundary
+tests, and far-field Dirichlet data for the ``halfplane`` closure of a
+truncated domain.
 """
 
 from __future__ import annotations
@@ -33,14 +33,6 @@ def arc_measure_gradient(z, a, b):
     gx = (y / db - y / da) / np.pi
     gy = ((x - b) / db - (x - a) / da) / np.pi
     return np.array([gx, gy])
-
-
-def green(z, w):
-    """Green's function of the half-plane: reflection formula."""
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    wbar = np.array([w[0], -w[1]])
-    return np.log(np.linalg.norm(z - wbar) / np.linalg.norm(z - w)) / (2 * np.pi)
 
 
 def cell_masses(points, cell_edges):

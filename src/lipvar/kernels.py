@@ -50,10 +50,6 @@ class BoundaryKernel:
         """Integrate the second argument against f d(pole measure)."""
         return self.entries @ (self.weights * np.asarray(f, dtype=float))
 
-    def apply_adjoint_masses(self, masses):
-        """Adjoint action on a measure given by masses: density of the image."""
-        return self.entries.T @ np.asarray(masses, dtype=float)
-
     def row_integrals(self):
         return self.entries @ self.weights
 
@@ -62,9 +58,7 @@ class BoundaryKernel:
 
 
 def _mass_to_kernel(domain, rows):
-    w = domain.hm_weights
-    safe = np.where(w > 0, w, 1.0)
-    k = rows / safe[None, :]
+    k = rows / domain.safe_weights[None, :]
     if len(domain.excluded_nodes):
         k[:, domain.excluded_nodes] = 0.0
     return k
@@ -83,9 +77,7 @@ def mass_rows(domain: DiscreteDomain, y: float, family: str = "martin"):
 
 def identity_kernel(domain: DiscreteDomain) -> BoundaryKernel:
     """Convolution identity: diagonal entries 1/w_m."""
-    w = domain.hm_weights
-    safe = np.where(w > 0, w, 1.0)
-    return BoundaryKernel(domain, np.diag(1.0 / safe), kind="identity",
+    return BoundaryKernel(domain, np.diag(1.0 / domain.safe_weights), kind="identity",
                           meta={"y": 0.0})
 
 
@@ -104,9 +96,7 @@ def martin_kernel(domain: DiscreteDomain, x, node=None):
             f"{x} lies above the cached kernel band; raise band_height"
         )
     row = domain.kernel_table()[joff, i, :]
-    w = domain.hm_weights
-    safe = np.where(w > 0, w, 1.0)
-    vals = row / safe
+    vals = row / domain.safe_weights
     if len(domain.excluded_nodes):
         vals = vals.copy()
         vals[domain.excluded_nodes] = 0.0
@@ -133,12 +123,6 @@ def compose(p: BoundaryKernel, q: BoundaryKernel) -> BoundaryKernel:
     return BoundaryKernel(p.domain, entries, kind=f"{p.kind}*{q.kind}",
                           signed=p.signed or q.signed,
                           meta={"left": p.meta, "right": q.meta})
-
-
-def gradient_direction_field(domain: DiscreteDomain, u: HarmonicField, y2: float,
-                             zero_tol: float = 1e-12):
-    """Unit gradient directions of u at the doubled height x_{2y}."""
-    return u.sigma_rows(y2, zero_tol=zero_tol)
 
 
 def build_c(domain: DiscreteDomain, u: HarmonicField, y: float) -> BoundaryKernel:
@@ -174,13 +158,23 @@ _GL_NODES = {n: np.polynomial.legendre.leggauss(n) for n in (2, 4)}
 def _b_quadrature(domain, u, a, b, n_panels, family):
     order = 2 if (b - a) / n_panels < 0.4 * domain.h else 4
     nodes, wts = _GL_NODES[order]
-    total = np.zeros((domain.nx, domain.nx))
     edges = np.linspace(a, b, n_panels + 1)
-    for p in range(n_panels):
-        mid = 0.5 * (edges[p] + edges[p + 1])
-        half = 0.5 * (edges[p + 1] - edges[p])
-        for t, wq in zip(nodes, wts):
-            total += (half * wq) * build_b(domain, u, mid + half * t, family).entries
+    # (height, weight) of every Gauss node, panel by panel
+    rule = [(0.5 * (lo + hi) + 0.5 * (hi - lo) * t, 0.5 * (hi - lo) * wq)
+            for lo, hi in zip(edges[:-1], edges[1:]) for t, wq in zip(nodes, wts)]
+    if family == "power":
+        # b_y = k_y o c_y is G^(y/h) applied to c_y with its excluded rows
+        # zeroed (k_y's zero columns); the domain sums the nodes in its eigenbasis
+        def terms():
+            for y, wq in rule:
+                c = build_c(domain, u, y).entries
+                c[domain.excluded_nodes, :] = 0.0
+                yield y, wq, c
+
+        return domain.power_sum(terms())
+    total = np.zeros((domain.nx, domain.nx))
+    for y, wq in rule:
+        total += wq * build_b(domain, u, y, family).entries
     return total
 
 

@@ -18,6 +18,7 @@ direct solver rows the grid's composition defect would dominate instead.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
@@ -118,16 +119,24 @@ def dyadic_partition(seg: Segment, n: int) -> Partition:
 
 
 class OmegaWorkspace:
-    """Caches the eps-independent pieces of the construction for one (domain, u)."""
+    """Caches the eps-independent pieces of the construction for one (domain, u).
+
+    The workspace lives in ``u``'s own cache and holds ``u`` weakly, so a
+    dropped ``u`` frees its workspace at once, without the cyclic collector.
+    """
 
     def __init__(self, domain: DiscreteDomain, u: HarmonicField,
                  family: str = "power", quad_rtol: float = 1e-3):
         self.domain = domain
-        self.u = u
+        self._u = weakref.ref(u)
         self.family = family
         self.quad_rtol = quad_rtol
         self._b = OrderedDict()
         self._omega = {}
+
+    @property
+    def u(self) -> HarmonicField:
+        return self._u()
 
     def k_rows(self, y: float):
         return K.mass_rows(self.domain, y, self.family)
@@ -145,9 +154,7 @@ class OmegaWorkspace:
         return val
 
     def omega_tilde_entries(self, seg: Segment, eps: float):
-        w = self.domain.hm_weights
-        safe = np.where(w > 0, w, 1.0)
-        kpart = self.k_rows(seg.length) / safe[None, :]
+        kpart = self.k_rows(seg.length) / self.domain.safe_weights[None, :]
         if eps == 0.0:
             return kpart
         return kpart - eps * self.b_entries(seg)
@@ -174,9 +181,7 @@ class OmegaWorkspace:
             raise ResolutionError(
                 f"segment [{seg.m}, {seg.M}] below the 2h floor of the grid"
             )
-        w = self.domain.hm_weights
-        safe = np.where(w > 0, w, 1.0)
-        scale = float(np.abs(self.k_rows(seg.m) / safe[None, :]).max())
+        scale = float(np.abs(self.k_rows(seg.m) / self.domain.safe_weights[None, :]).max())
         if n_start is None:
             n_start = max(0, int(np.ceil(np.log2(1.0 / seg.length))) + 1)
         n_max = max(n_max, n_start + 1)
@@ -202,11 +207,13 @@ class OmegaWorkspace:
 
 def _workspace(domain: DiscreteDomain, u: HarmonicField,
                family: str = "power", quad_rtol: float = 1e-3) -> OmegaWorkspace:
+    if domain is not u.domain:
+        raise ConfigError("u must be a field on the given domain")
     cache = getattr(u, "_omega_workspaces", None)
     if cache is None:
         cache = {}
         u._omega_workspaces = cache
-    key = (id(domain), family, quad_rtol)
+    key = (family, quad_rtol)
     if key not in cache:
         cache[key] = OmegaWorkspace(domain, u, family, quad_rtol)
     return cache[key]
@@ -275,7 +282,6 @@ def check_omega_properties(omega: K.BoundaryKernel, omega_t: K.BoundaryKernel,
     if omega.domain is not omega_t.domain:
         raise ConfigError("kernels must share a domain")
     d = omega.domain
-    w = d.hm_weights
     report = {}
 
     norm = float(np.abs(omega.row_integrals() - 1.0).max())
@@ -315,7 +321,7 @@ def check_omega_properties(omega: K.BoundaryKernel, omega_t: K.BoundaryKernel,
     gap = float(np.abs(omega.entries - omega_t.entries).max())
     k_m_sup = omega.meta.get("scale")
     if k_m_sup is None:
-        k_m_sup = float(np.abs(K.mass_rows(d, seg.m, "power") / np.where(w > 0, w, 1.0)).max())
+        k_m_sup = float(np.abs(K.mass_rows(d, seg.m, "power") / d.safe_weights).max())
     closeness = {
         "gap": gap,
         "passed": True,
@@ -363,9 +369,7 @@ class OmegaLadder:
         self.points = pts
         self.ws = _workspace(domain, u, family)
         self._omega_at = {}
-        w = domain.hm_weights
-        safe = np.where(w > 0, w, 1.0)
-        cur = np.diag(1.0 / safe)  # Omega over the empty segment [1, 1]
+        cur = np.diag(1.0 / domain.safe_weights)  # Omega over the empty segment [1, 1]
         self._omega_at[1.0] = cur
         for a, b in zip(pts[-2::-1], pts[::-1]):
             ent, _, _ = self.ws.omega_entries(Segment(a, b), eps, tol)
@@ -409,9 +413,7 @@ def omega_rho_bounds(domain: DiscreteDomain, u: HarmonicField, rho: float,
         pts.append(pts[-1] * 2)
     ladder = OmegaLadder(domain, u, eps, pts, tol=tol)
     om = ladder.omega_y(rho).entries
-    w = domain.hm_weights
-    safe = np.where(w > 0, w, 1.0)
-    kref = K.mass_rows(domain, 1.0 - rho, "power") / safe[None, :]
+    kref = K.mass_rows(domain, 1.0 - rho, "power") / domain.safe_weights[None, :]
     floor = 1e-9 * kref.max()
     mask = kref > floor
     ratio = om[mask] / kref[mask]

@@ -261,6 +261,38 @@ def test_b_segment_envelope_bound(flat_small):
     assert const < 50.0
 
 
+def _per_node_power_b(domain, u, a, b):
+    """One 4-point Gauss panel on [a, b] summed node by node with build_b."""
+    nodes, wts = np.polynomial.legendre.leggauss(4)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return sum(half * wq * K.build_b(domain, u, mid + half * t, "power").entries
+               for t, wq in zip(nodes, wts))
+
+
+def _assert_fused_quadrature_matches(domain, u, a, b):
+    fused = K._b_quadrature(domain, u, a, b, 1, "power")
+    ref = _per_node_power_b(domain, u, a, b)
+    assert np.abs(fused - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_power_quadrature_in_real_eigenbasis(kernel_flat):
+    domain, u = kernel_flat
+    eig = domain._eigensystem()
+    assert isinstance(eig, tuple)
+    assert not any(np.iscomplexobj(a) for a in eig)
+    _assert_fused_quadrature_matches(domain, u, 0.3, 0.4)
+
+
+def test_power_quadrature_on_schur_path():
+    # a tall sawtooth whose one-step eigenbasis reconstructs at ~6e-6, inside
+    # the Schur-Pade band (1e-6, 1e-4] whatever the BLAS thread count
+    graph = LipschitzGraph.sawtooth(1.1, 2, 2.2)
+    domain = build_domain(DomainConfig(graph, 5.0, 5.0, 0.1, (0.0, 2.1)))
+    u = harmonic_extension(domain, arc_indicator(domain, -1.0, 1.0))
+    assert domain._eigensystem() == "schur"
+    _assert_fused_quadrature_matches(domain, u, 0.3, 0.4)
+
+
 # -- harnack exponent ---------------------------------------------------------------
 
 

@@ -1,11 +1,16 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipvar import kernels as K
+from lipvar.domain_field import arc_indicator, harmonic_extension
 from lipvar.errors import ConfigError, ConvergenceError
 from lipvar.omega import (
     OmegaLadder,
+    _workspace,
     Partition,
     Segment,
     check_omega_properties,
@@ -64,6 +69,30 @@ def test_dyadic_partition_properties(m, length, n):
 def test_partition_rejects_gaps():
     with pytest.raises(ConfigError):
         Partition((Segment(0.1, 0.2), Segment(0.3, 0.4)))
+
+
+# -- workspace -----------------------------------------------------------------
+
+
+def test_dropped_u_frees_its_workspace(flat_small):
+    domain, _ = flat_small
+    gc.disable()
+    try:
+        u = harmonic_extension(domain, arc_indicator(domain, -1.0, 1.0))
+        omega_limit(domain, u, Segment(0.3, 0.4), EPS)
+        ws = weakref.ref(_workspace(domain, u))
+        assert ws()._b
+        del u
+        assert ws() is None
+    finally:
+        gc.enable()
+
+
+def test_workspace_rejects_field_of_another_domain(flat_small, saw_small):
+    domain, _ = flat_small
+    _, u_saw = saw_small
+    with pytest.raises(ConfigError):
+        omega_tilde(domain, u_saw, Segment(0.2, 0.4), EPS)
 
 
 # -- omega_tilde -----------------------------------------------------------------
