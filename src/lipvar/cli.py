@@ -23,7 +23,7 @@ _cap_threads()
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +77,6 @@ class RunConfig:
     z1: tuple = (0.0, 2.0)
     y_sequence: tuple | None = None
     wos_samples: int = 20000
-    tolerances: dict = None
 
     @classmethod
     def load(cls, path: str, grid_h: float | None = None,
@@ -90,6 +89,9 @@ class RunConfig:
             raise ConfigError(
                 f"malformed JSON in {path} at line {e.lineno} column {e.colno}: {e.msg}"
             )
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
         try:
             dom = DomainConfig.from_dict(raw["domain"])
         except KeyError as e:
@@ -101,9 +103,6 @@ class RunConfig:
         eps = float(raw.get("epsilon", 0.05))
         if not (0.0 <= eps <= 0.5):
             raise ConfigError("epsilon must lie in [0, 0.5]")
-        tol = raw.get("tolerances", {}) or {}
-        if any(v <= 0 for v in tol.values()):
-            raise ConfigError("tolerances must be positive")
         return cls(
             domain=dom,
             epsilon=eps,
@@ -113,7 +112,6 @@ class RunConfig:
             z1=tuple(raw.get("z1", (0.0, 2.0))),
             y_sequence=tuple(raw["y_sequence"]) if "y_sequence" in raw else None,
             wos_samples=int(raw.get("wos_samples", 20000)),
-            tolerances=tol,
         )
 
 

@@ -23,7 +23,7 @@ on the ghost slots and is used by the closed-form oracle tests.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg as sla
@@ -54,6 +54,11 @@ class DomainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DomainConfig":
+        known = ({f.name for f in fields(cls) if f.name != "graph"}
+                 | {"phi_breakpoints", "support_radius"})
+        unknown = sorted(set(d) - known)
+        if unknown:
+            raise ConfigError(f"unknown domain config key(s): {', '.join(unknown)}")
         graph = LipschitzGraph(
             tuple(tuple(p) for p in d.get("phi_breakpoints", ())),
             float(d.get("support_radius", 1.0)),
@@ -325,7 +330,8 @@ class DiscreteDomain:
         """Pole masses with nonpositive entries replaced by 1.
 
         The divisor that turns exit masses into densities against the pole
-        measure; the nodes it guards are excluded from kernel supports.
+        measure, applied by ``kernels._mass_to_kernel`` alone; the nodes it
+        guards are excluded from kernel supports.
         """
         w = self.hm_weights
         return np.where(w > 0, w, 1.0)
@@ -338,53 +344,71 @@ class DiscreteDomain:
 
     def mass_rows(self, y):
         """Exit-mass rows at x_i + y above each boundary node (linear in y)."""
-        band = self.kernel_table()
+        return self._band_at(self.kernel_table(), y)
+
+    def stencil_rows(self, y):
+        """Central differences of the mass rows at x_i + y, for the Martin
+        kernel's gradient in its first argument.
+
+        Returns ``(dx, dy)``: (east - west) / 2h and (north - south) / 2h,
+        each an (nx, nx) row matrix, linear in y between grid levels.
+        """
+        return self._band_stencil(self.kernel_table(), y)
+
+    # -- band readers: one height rule for the kernel band and field bands ------
+
+    def _band_level(self, y):
+        """Grid level m below height y and the blend fraction (0 on a level)."""
         t = y / self.h
-        if t < -1e-12 or t > self.band_rows + 1e-9:
-            raise ResolutionError(
-                f"height {y} outside the cached kernel band "
-                f"(<= {self.band_rows * self.h}); raise band_height"
-            )
         m = int(np.floor(t + 1e-12))
         frac = t - m
-        if frac < 1e-12 or m >= self.band_rows:
+        return m, (frac if frac >= 1e-12 else 0.0)
+
+    def _band_at(self, band, y):
+        """Level y of a band indexed (level, column, ...), linear in y.
+
+        Serves the kernel band (band_rows+1, nx, nx) and a field band
+        (band_rows+1, nx) alike; heights off the band raise.
+        """
+        m, frac = self._band_level(y)
+        if m < 0 or m + (frac > 0) > self.band_rows:
+            raise ResolutionError(
+                f"height {y} outside the cached band "
+                f"(<= {self.band_rows * self.h}); raise band_height"
+            )
+        if frac == 0:
             return band[m]
         return (1 - frac) * band[m] + frac * band[m + 1]
 
-    def stencil_rows(self, y):
-        """Mass rows at the four stencil neighbours of x_i + y.
+    def _band_stencil(self, band, y):
+        """Central differences (d/dx, d/dy) of a band at height y, linear in y.
 
-        Returns (east, west, north, south) row matrices used to differentiate
-        the Martin kernel in its first argument by central differences.
+        The horizontal neighbours of column i sit on the mirrored columns at
+        the same height above the graph, so their band level shifts by the
+        boundary step between the columns.
         """
-        band = self.kernel_table()
-        t = y / self.h
-        m = int(np.floor(t + 1e-12))
-        frac = t - m
-        cols = np.arange(self.nx)
+        m, frac = self._band_level(y)
+        nb = self.band_rows
 
-        def horizontal(mm):
+        def level(mm):
             je = mm + self._dj_e
             jw = mm + self._dj_w
-            if je.min() < 0 or jw.min() < 0 or je.max() > self.band_rows or jw.max() > self.band_rows:
-                raise ResolutionError(f"stencil at height {y} leaves the kernel band")
-            return band[je, self._mirror_e, :], band[jw, self._mirror_w, :]
+            if (mm < 1 or mm + 1 > nb or min(je.min(), jw.min()) < 0
+                    or max(je.max(), jw.max()) > nb):
+                raise ResolutionError(f"stencil at height {y} leaves the band")
+            return (band[je, self._mirror_e] - band[jw, self._mirror_w],
+                    band[mm + 1] - band[mm - 1])
 
-        def vertical(mm):
-            if mm < 1 or mm + 1 > self.band_rows:
-                raise ResolutionError(f"vertical stencil at height {y} below resolution")
-            return band[mm + 1], band[mm - 1]
-
-        E, Wst = horizontal(m)
-        N, S = vertical(m)
-        if frac >= 1e-12:
-            E1, W1 = horizontal(m + 1)
-            N1, S1 = vertical(m + 1)
-            E = (1 - frac) * E + frac * E1
-            Wst = (1 - frac) * Wst + frac * W1
-            N = (1 - frac) * N + frac * N1
-            S = (1 - frac) * S + frac * S1
-        return E, Wst, N, S
+        dx, dy = level(m)
+        dx *= (1 - frac) / (2 * self.h)
+        dy *= (1 - frac) / (2 * self.h)
+        if frac:
+            dx1, dy1 = level(m + 1)
+            dx1 *= frac / (2 * self.h)
+            dy1 *= frac / (2 * self.h)
+            dx += dx1
+            dy += dy1
+        return dx, dy
 
     # -- semigroup-exact one-step powers -------------------------------------------
 
@@ -506,15 +530,7 @@ class HarmonicField:
 
     def rows(self, y):
         """Values at x_i + y over all boundary base points (linear in y)."""
-        F = self.band()
-        t = y / self.domain.h
-        m = int(np.floor(t + 1e-12))
-        frac = t - m
-        if m < 0 or m + (frac > 1e-12) > self.domain.band_rows:
-            raise ResolutionError(f"field band does not reach height {y}")
-        if frac < 1e-12:
-            return F[m]
-        return (1 - frac) * F[m] + frac * F[m + 1]
+        return self.domain._band_at(self.band(), y)
 
     def at(self, point):
         """Bilinear field value at an arbitrary point of the closed domain."""
@@ -541,28 +557,7 @@ class HarmonicField:
         key = ("grad", round(float(y), 12))
         if key in self._cache:
             return self._cache[key]
-        d = self.domain
-        F = self.band()
-        t = y / d.h
-        m = int(np.floor(t + 1e-12))
-        frac = t - m
-
-        def level(mm):
-            je = mm + d._dj_e
-            jw = mm + d._dj_w
-            if min(je.min(), jw.min()) < 0 or max(je.max(), jw.max()) > d.band_rows:
-                raise ResolutionError(f"gradient stencil at height {y} leaves the band")
-            if mm < 1 or mm + 1 > d.band_rows:
-                raise ResolutionError(f"gradient stencil at height {y} below resolution")
-            gx = (F[je, d._mirror_e] - F[jw, d._mirror_w]) / (2 * d.h)
-            gy = (F[mm + 1] - F[mm - 1]) / (2 * d.h)
-            return gx, gy
-
-        gx, gy = level(m)
-        if frac >= 1e-12:
-            gx1, gy1 = level(m + 1)
-            gx = (1 - frac) * gx + frac * gx1
-            gy = (1 - frac) * gy + frac * gy1
+        gx, gy = self.domain._band_stencil(self.band(), y)
         self._cache[key] = (gx, gy)
         return gx, gy
 

@@ -58,9 +58,13 @@ class BoundaryKernel:
 
 
 def _mass_to_kernel(domain, rows):
-    k = rows / domain.safe_weights[None, :]
-    if len(domain.excluded_nodes):
-        k[:, domain.excluded_nodes] = 0.0
+    """Densities against the pole measure of exit-mass rows (last axis).
+
+    The only place masses become densities: it divides by ``safe_weights``
+    and zeroes the columns of the excluded nodes.
+    """
+    k = rows / domain.safe_weights
+    k[..., domain.excluded_nodes] = 0.0
     return k
 
 
@@ -76,9 +80,9 @@ def mass_rows(domain: DiscreteDomain, y: float, family: str = "martin"):
 
 
 def identity_kernel(domain: DiscreteDomain) -> BoundaryKernel:
-    """Convolution identity: diagonal entries 1/w_m."""
-    return BoundaryKernel(domain, np.diag(1.0 / domain.safe_weights), kind="identity",
-                          meta={"y": 0.0})
+    """Convolution identity: the density of band[0], the point masses."""
+    return BoundaryKernel(domain, _mass_to_kernel(domain, domain.kernel_table()[0]),
+                          kind="identity", meta={"y": 0.0})
 
 
 def martin_kernel(domain: DiscreteDomain, x, node=None):
@@ -95,11 +99,7 @@ def martin_kernel(domain: DiscreteDomain, x, node=None):
         raise ResolutionError(
             f"{x} lies above the cached kernel band; raise band_height"
         )
-    row = domain.kernel_table()[joff, i, :]
-    vals = row / domain.safe_weights
-    if len(domain.excluded_nodes):
-        vals = vals.copy()
-        vals[domain.excluded_nodes] = 0.0
+    vals = _mass_to_kernel(domain, domain.kernel_table()[joff, i, :])
     if node is None:
         return vals
     return float(vals[node])
@@ -134,8 +134,8 @@ def build_c(domain: DiscreteDomain, u: HarmonicField, y: float) -> BoundaryKerne
     if y < 2 * domain.h - 1e-12:
         raise ResolutionError(f"height {y} below the 2h resolution floor")
     sx, sy, _ = u.sigma_rows(2 * y)
-    E, W, N, S = domain.stencil_rows(y)
-    rows = (sx[:, None] * (E - W) + sy[:, None] * (N - S)) / (2 * domain.h)
+    dx, dy = domain.stencil_rows(y)
+    rows = sx[:, None] * dx + sy[:, None] * dy
     dead = (sx == 0.0) & (sy == 0.0)
     if np.any(dead):
         rows[dead, :] = 0.0
@@ -219,9 +219,9 @@ def apply_k(domain: DiscreteDomain, y: float, f, family: str = "martin"):
 def apply_c(domain: DiscreteDomain, u: HarmonicField, y: float, f):
     """C_y f via stencil matvecs on the mass rows."""
     sx, sy, _ = u.sigma_rows(2 * y)
-    E, W, N, S = domain.stencil_rows(y)
+    dx, dy = domain.stencil_rows(y)
     f = np.asarray(f, dtype=float)
-    return (sx * ((E - W) @ f) + sy * ((N - S) @ f)) / (2 * domain.h)
+    return sx * (dx @ f) + sy * (dy @ f)
 
 
 def apply_b(domain: DiscreteDomain, u: HarmonicField, y: float, f,

@@ -125,12 +125,9 @@ class OmegaWorkspace:
     dropped ``u`` frees its workspace at once, without the cyclic collector.
     """
 
-    def __init__(self, domain: DiscreteDomain, u: HarmonicField,
-                 family: str = "power", quad_rtol: float = 1e-3):
+    def __init__(self, domain: DiscreteDomain, u: HarmonicField):
         self.domain = domain
         self._u = weakref.ref(u)
-        self.family = family
-        self.quad_rtol = quad_rtol
         self._b = OrderedDict()
         self._omega = {}
 
@@ -139,22 +136,21 @@ class OmegaWorkspace:
         return self._u()
 
     def k_rows(self, y: float):
-        return K.mass_rows(self.domain, y, self.family)
+        return K.mass_rows(self.domain, y, "power")
 
     def b_entries(self, seg: Segment):
         key = (round(seg.m, 12), round(seg.M, 12))
         if key in self._b:
             self._b.move_to_end(key)
             return self._b[key]
-        val = K.build_b_segment(self.domain, self.u, seg, rtol=self.quad_rtol,
-                                family=self.family).entries
+        val = K.build_b_segment(self.domain, self.u, seg, family="power").entries
         self._b[key] = val
         if len(self._b) > _B_CACHE_SIZE:
             self._b.popitem(last=False)
         return val
 
     def omega_tilde_entries(self, seg: Segment, eps: float):
-        kpart = self.k_rows(seg.length) / self.domain.safe_weights[None, :]
+        kpart = K.build_k(self.domain, seg.length, "power").entries
         if eps == 0.0:
             return kpart
         return kpart - eps * self.b_entries(seg)
@@ -170,20 +166,19 @@ class OmegaWorkspace:
         return out
 
     def omega_entries(self, seg: Segment, eps: float, tol: float = OMEGA_TOL,
-                      n_max: int = N_MAX, n_start: int | None = None):
-        key = (round(seg.m, 12), round(seg.M, 12), round(eps, 12), tol, n_start)
+                      n_max: int = N_MAX):
+        key = (round(seg.m, 12), round(seg.M, 12), round(eps, 12), tol)
         if key not in self._omega:
-            self._omega[key] = self._dyadic_limit(seg, eps, tol, n_max, n_start)
+            self._omega[key] = self._dyadic_limit(seg, eps, tol, n_max)
         return self._omega[key]
 
-    def _dyadic_limit(self, seg, eps, tol, n_max, n_start):
+    def _dyadic_limit(self, seg, eps, tol, n_max):
         if seg.m < 2 * self.domain.h - 1e-12:
             raise ResolutionError(
                 f"segment [{seg.m}, {seg.M}] below the 2h floor of the grid"
             )
-        scale = float(np.abs(self.k_rows(seg.m) / self.domain.safe_weights[None, :]).max())
-        if n_start is None:
-            n_start = max(0, int(np.ceil(np.log2(1.0 / seg.length))) + 1)
+        scale = float(np.abs(K.build_k(self.domain, seg.m, "power").entries).max())
+        n_start = max(0, int(np.ceil(np.log2(1.0 / seg.length))) + 1)
         n_max = max(n_max, n_start + 1)
         prev = None
         history = []
@@ -205,18 +200,13 @@ class OmegaWorkspace:
         )
 
 
-def _workspace(domain: DiscreteDomain, u: HarmonicField,
-               family: str = "power", quad_rtol: float = 1e-3) -> OmegaWorkspace:
+def _workspace(domain: DiscreteDomain, u: HarmonicField) -> OmegaWorkspace:
     if domain is not u.domain:
         raise ConfigError("u must be a field on the given domain")
-    cache = getattr(u, "_omega_workspaces", None)
-    if cache is None:
-        cache = {}
-        u._omega_workspaces = cache
-    key = (family, quad_rtol)
-    if key not in cache:
-        cache[key] = OmegaWorkspace(domain, u, family, quad_rtol)
-    return cache[key]
+    ws = getattr(u, "_omega_workspace", None)
+    if ws is None:
+        ws = u._omega_workspace = OmegaWorkspace(domain, u)
+    return ws
 
 
 # ---------------------------------------------------------------------------
@@ -225,48 +215,45 @@ def _workspace(domain: DiscreteDomain, u: HarmonicField,
 
 
 def omega_tilde(domain: DiscreteDomain, u: HarmonicField, seg: Segment,
-                eps: float, family: str = "power") -> K.BoundaryKernel:
+                eps: float) -> K.BoundaryKernel:
     """Perturbed kernel k_{|seg|} - eps * b_seg."""
     if not (0 <= eps):
         raise ConfigError("eps must be nonnegative")
-    ws = _workspace(domain, u, family)
+    ws = _workspace(domain, u)
     return K.BoundaryKernel(domain, ws.omega_tilde_entries(seg, eps),
                             kind="omega_tilde", signed=eps > 0,
-                            meta={"segment": (seg.m, seg.M), "eps": eps,
-                                  "family": family})
+                            meta={"segment": (seg.m, seg.M), "eps": eps})
 
 
 def pi_product(domain: DiscreteDomain, u: HarmonicField, seg: Segment,
-               partition: Partition, eps: float,
-               family: str = "power") -> K.BoundaryKernel:
+               partition: Partition, eps: float) -> K.BoundaryKernel:
     """Right-to-left product of the perturbed kernels of a partition."""
     parent = partition.parent
     if abs(parent.m - seg.m) > 1e-9 or abs(parent.M - seg.M) > 1e-9:
         raise ConfigError("partition does not cover the requested segment")
-    ws = _workspace(domain, u, family)
+    ws = _workspace(domain, u)
     return K.BoundaryKernel(domain, ws.pi_entries(partition, eps), kind="pi",
                             signed=eps > 0,
                             meta={"segment": (seg.m, seg.M), "eps": eps,
-                                  "K": len(partition.segments), "family": family})
+                                  "K": len(partition.segments)})
 
 
 def omega_limit(domain: DiscreteDomain, u: HarmonicField, seg: Segment,
-                eps: float, tol: float = OMEGA_TOL, n_max: int = N_MAX,
-                n_start: int | None = None,
-                family: str = "power") -> K.BoundaryKernel:
+                eps: float, tol: float = OMEGA_TOL,
+                n_max: int = N_MAX) -> K.BoundaryKernel:
     """Dyadic-refinement limit of the partition products on a segment.
 
     The kernel's ``meta`` records the per-level sup differences and the
     observed decay ratios (the construction predicts halving).
     """
-    ws = _workspace(domain, u, family)
-    entries, history, scale = ws.omega_entries(seg, eps, tol, n_max, n_start)
+    ws = _workspace(domain, u)
+    entries, history, scale = ws.omega_entries(seg, eps, tol, n_max)
     diffs = [d for _, d in history]
     ratios = [b / a for a, b in zip(diffs[:-1], diffs[1:]) if a > 0]
     return K.BoundaryKernel(domain, entries, kind="omega", signed=eps > 0,
                             meta={"segment": (seg.m, seg.M), "eps": eps,
                                   "history": history, "decay_ratios": ratios,
-                                  "scale": scale, "family": family})
+                                  "scale": scale})
 
 
 def check_omega_properties(omega: K.BoundaryKernel, omega_t: K.BoundaryKernel,
@@ -290,7 +277,7 @@ def check_omega_properties(omega: K.BoundaryKernel, omega_t: K.BoundaryKernel,
     if u is not None:
         mid = 0.5 * (seg.m + seg.M)
         left, right = seg.split(mid)
-        ws = _workspace(d, u, omega.meta.get("family", "power"))
+        ws = _workspace(d, u)
         ol, _, _ = ws.omega_entries(left, eps)
         orr, _, _ = ws.omega_entries(right, eps)
         comp = ws.compose_entries(orr, ol)
@@ -302,7 +289,7 @@ def check_omega_properties(omega: K.BoundaryKernel, omega_t: K.BoundaryKernel,
     pos = {"min_entry": min_entry, "passed": min_entry >= 0.0, "chain": None}
     if min_entry < 0 and u is not None and seg.length > seg.m:
         # compose doubling blocks, each within the aspect range that stays positive
-        ws = _workspace(d, u, omega.meta.get("family", "power"))
+        ws = _workspace(d, u)
         mins = []
         a = seg.m
         while True:
@@ -321,7 +308,7 @@ def check_omega_properties(omega: K.BoundaryKernel, omega_t: K.BoundaryKernel,
     gap = float(np.abs(omega.entries - omega_t.entries).max())
     k_m_sup = omega.meta.get("scale")
     if k_m_sup is None:
-        k_m_sup = float(np.abs(K.mass_rows(d, seg.m, "power") / d.safe_weights).max())
+        k_m_sup = float(np.abs(K.build_k(d, seg.m, "power").entries).max())
     closeness = {
         "gap": gap,
         "passed": True,
@@ -357,7 +344,7 @@ class OmegaLadder:
     """
 
     def __init__(self, domain: DiscreteDomain, u: HarmonicField, eps: float,
-                 points, family: str = "power", tol: float = OMEGA_TOL):
+                 points, tol: float = OMEGA_TOL):
         pts = sorted({round(float(p), 12) for p in points} | {1.0})
         if pts[0] < 2 * domain.h - 1e-12:
             raise ResolutionError("ladder foot below the 2h floor")
@@ -367,9 +354,9 @@ class OmegaLadder:
         self.u = u
         self.eps = eps
         self.points = pts
-        self.ws = _workspace(domain, u, family)
+        self.ws = _workspace(domain, u)
         self._omega_at = {}
-        cur = np.diag(1.0 / domain.safe_weights)  # Omega over the empty segment [1, 1]
+        cur = K.identity_kernel(domain).entries  # Omega over the empty segment [1, 1]
         self._omega_at[1.0] = cur
         for a, b in zip(pts[-2::-1], pts[::-1]):
             ent, _, _ = self.ws.omega_entries(Segment(a, b), eps, tol)
@@ -413,7 +400,7 @@ def omega_rho_bounds(domain: DiscreteDomain, u: HarmonicField, rho: float,
         pts.append(pts[-1] * 2)
     ladder = OmegaLadder(domain, u, eps, pts, tol=tol)
     om = ladder.omega_y(rho).entries
-    kref = K.mass_rows(domain, 1.0 - rho, "power") / domain.safe_weights[None, :]
+    kref = K.build_k(domain, 1.0 - rho, "power").entries
     floor = 1e-9 * kref.max()
     mask = kref > floor
     ratio = om[mask] / kref[mask]
@@ -456,7 +443,7 @@ def cross_boundary_data(domain: DiscreteDomain, y_shift: float, arc=(-1.0, 1.0))
 
 
 def phi_property_check(domain: DiscreteDomain, u: HarmonicField, psi, seg: Segment,
-                       y: float, eps: float, family: str = "power") -> dict:
+                       y: float, eps: float) -> dict:
     """Multiplicative stability of Omega_seg on data harmonic across the graph.
 
     Returns the normalized sup ratio |Omega(psi) - psi| / ((|seg|/y) psi)
@@ -469,7 +456,7 @@ def phi_property_check(domain: DiscreteDomain, u: HarmonicField, psi, seg: Segme
     psi = np.asarray(psi, dtype=float)
     if np.any(psi <= 0):
         raise ConfigError("psi must be strictly positive on the mesh")
-    ws = _workspace(domain, u, family)
+    ws = _workspace(domain, u)
     om, _, _ = ws.omega_entries(seg, eps)
     w = domain.hm_weights
     img = om @ (w * psi)
@@ -488,8 +475,7 @@ def phi_property_check(domain: DiscreteDomain, u: HarmonicField, psi, seg: Segme
 
 
 def ode_check(domain: DiscreteDomain, u: HarmonicField, phi: HarmonicField,
-              eps: float, y_grid, family: str = "power",
-              tol: float = OMEGA_TOL) -> dict:
+              eps: float, y_grid, tol: float = OMEGA_TOL) -> dict:
     """Residual of d/dy Omega_y(phi_y) = eps Omega_y(B_y(phi_y)) on a y-grid.
 
     Central differences across the uniformly spaced grid are compared with
@@ -502,7 +488,7 @@ def ode_check(domain: DiscreteDomain, u: HarmonicField, phi: HarmonicField,
     steps = np.diff(ys)
     if np.abs(steps - steps[0]).max() > 1e-9:
         raise ConfigError("y-grid must be uniformly spaced")
-    ladder = OmegaLadder(domain, u, eps, ys, family=family, tol=tol)
+    ladder = OmegaLadder(domain, u, eps, ys, tol=tol)
     keep = np.ones(domain.nx, dtype=bool)
     keep[domain.excluded_nodes] = False
 
@@ -511,7 +497,7 @@ def ode_check(domain: DiscreteDomain, u: HarmonicField, phi: HarmonicField,
     for y in ys:
         phi_y = phi.rows(y)
         f[y] = ladder.apply(y, phi_y)
-        rhs[y] = eps * ladder.apply(y, K.apply_b(domain, u, y, phi_y, family))
+        rhs[y] = eps * ladder.apply(y, K.apply_b(domain, u, y, phi_y, "power"))
     abs_res = 0.0
     rhs_sup = max(float(np.abs(rhs[y])[keep].max()) for y in ys)
     for lo, mid, hi in zip(ys[:-2], ys[1:-1], ys[2:]):

@@ -50,14 +50,9 @@ class VariationResult:
         return float(self.values[i])
 
 
-def _variation_integrand(domain, u, y, family):
-    return K.apply_b(domain, u, y, u.rows(y), family)
-
-
 def vertical_variation(domain: DiscreteDomain, u: HarmonicField,
                        y_min: float | None = None, y_max: float = 1.0,
-                       rtol: float = 1e-3, family: str = "martin",
-                       max_doublings: int = 9) -> VariationResult:
+                       rtol: float = 1e-3, max_doublings: int = 9) -> VariationResult:
     """Quadrature of y -> B_y(u_y) over [y_min, y_max] at every boundary node.
 
     Composite Simpson panels are doubled until the sup-norm change falls
@@ -77,7 +72,7 @@ def vertical_variation(domain: DiscreteDomain, u: HarmonicField,
     def f(y):
         key = round(y, 14)
         if key not in cache:
-            cache[key] = _variation_integrand(domain, u, y, family)
+            cache[key] = K.apply_b(domain, u, y, u.rows(y))
         return cache[key]
 
     n = 4

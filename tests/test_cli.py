@@ -146,3 +146,17 @@ def test_epsilon_out_of_range_exits_2(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(dict(CFG, epsilon=0.9)))
     assert main(["--config", str(p), "--out", str(tmp_path), "solve"]) == 2
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(dict(CFG, tolerances={"omega": 1e-3})))
+    assert main(["--config", str(p), "--out", str(tmp_path), "solve"]) == 2
+    assert "tolerances" in capsys.readouterr().err
+
+
+def test_unknown_domain_key_exits_2(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(dict(CFG, domain=dict(CFG["domain"], grid_step=0.1))))
+    assert main(["--config", str(p), "--out", str(tmp_path), "solve"]) == 2
+    assert "grid_step" in capsys.readouterr().err

@@ -286,3 +286,31 @@ def test_arc_mass_halves_endpoint_cells(flat_small):
     left = m.arc_mass(-1.0, 0.0)
     right = m.arc_mass(0.0, 1.0)
     assert full == pytest.approx(left + right, abs=1e-12)
+
+
+# -- band readers ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fixture", ["flat_small", "saw_small"])
+@pytest.mark.parametrize("y", [0.5, 0.537])
+def test_kernel_band_and_field_band_agree(fixture, y, request):
+    domain, _ = request.getfixturevalue(fixture)
+    f = np.cos(domain.xs) + 0.1 * domain.xs
+    v = harmonic_extension(domain, f)
+    scale = np.abs(f).max()
+    assert np.abs(domain.mass_rows(y) @ f - v.rows(y)).max() <= 1e-12 * scale
+    dx, dy = domain.stencil_rows(y)
+    gx, gy = v.grad_rows(y)
+    assert np.abs(dx @ f - gx).max() <= 1e-12 * scale / domain.h
+    assert np.abs(dy @ f - gy).max() <= 1e-12 * scale / domain.h
+
+
+def test_band_readers_share_the_top(flat_small):
+    domain, u = flat_small
+    y = (domain.band_rows + 0.5) * domain.h
+    for read in (domain.mass_rows, u.rows, domain.stencil_rows, u.grad_rows):
+        with pytest.raises(ResolutionError):
+            read(y)
+    top = domain.band_rows * domain.h
+    assert np.array_equal(domain.mass_rows(top), domain.kernel_table()[-1])
+    assert np.array_equal(u.rows(top), u.band()[-1])

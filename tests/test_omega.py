@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipvar import kernels as K
-from lipvar.domain_field import arc_indicator, harmonic_extension
+from lipvar.domain_field import (
+    DomainConfig,
+    LipschitzGraph,
+    arc_indicator,
+    build_domain,
+    grid,
+    harmonic_extension,
+)
 from lipvar.errors import ConfigError, ConvergenceError
 from lipvar.omega import (
     OmegaLadder,
@@ -93,6 +100,20 @@ def test_workspace_rejects_field_of_another_domain(flat_small, saw_small):
     _, u_saw = saw_small
     with pytest.raises(ConfigError):
         omega_tilde(domain, u_saw, Segment(0.2, 0.4), EPS)
+
+
+def test_excluded_nodes_carry_no_density(monkeypatch):
+    # a raised exclusion floor leaves the two far-corner nodes of the flat box out
+    monkeypatch.setattr(grid, "NEGLIGIBLE_MASS", 2e-3)
+    domain = build_domain(DomainConfig(LipschitzGraph.flat(), 5.0, 5.0, 0.1, (0.0, 1.0)))
+    u = harmonic_extension(domain, arc_indicator(domain, -1.0, 1.0))
+    ex = domain.excluded_nodes
+    assert len(ex)
+    seg = Segment(0.3, 0.4)
+    k = K.build_k(domain, seg.length, family="power").entries
+    assert np.array_equal(omega_tilde(domain, u, seg, 0.0).entries, k)
+    assert not K.build_b_segment(domain, u, seg, family="power").entries[:, ex].any()
+    assert not omega_limit(domain, u, seg, EPS).entries[:, ex].any()
 
 
 # -- omega_tilde -----------------------------------------------------------------
