@@ -167,7 +167,7 @@ class OmegaWorkspace:
 
     def omega_entries(self, seg: Segment, eps: float, tol: float = OMEGA_TOL,
                       n_max: int = N_MAX):
-        key = (round(seg.m, 12), round(seg.M, 12), round(eps, 12), tol)
+        key = (round(seg.m, 12), round(seg.M, 12), round(eps, 12), tol, n_max)
         if key not in self._omega:
             self._omega[key] = self._dyadic_limit(seg, eps, tol, n_max)
         return self._omega[key]

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import lipvar
 from lipvar import kernels as K
 from lipvar.domain_field import (
     DomainConfig,
@@ -10,7 +17,7 @@ from lipvar.domain_field import (
     halfplane,
     harmonic_extension,
 )
-from lipvar.errors import ConfigError, ResolutionError
+from lipvar.errors import ConfigError, ConvergenceError, ResolutionError
 from lipvar.omega import Segment
 
 
@@ -291,6 +298,77 @@ def test_power_quadrature_on_schur_path():
     u = harmonic_extension(domain, arc_indicator(domain, -1.0, 1.0))
     assert domain._eigensystem() == "schur"
     _assert_fused_quadrature_matches(domain, u, 0.3, 0.4)
+
+
+# -- log path of the fractional powers -------------------------------------------
+
+
+def _rel_sup(a, ref):
+    return np.abs(a - ref).max() / np.abs(ref).max()
+
+
+def _saw_tall_domain():
+    """The tall sawtooth of the Schur-path test: kappa_2(V) ~ 8e7, log path."""
+    graph = LipschitzGraph.sawtooth(1.1, 2, 2.2)
+    return build_domain(DomainConfig(graph, 5.0, 5.0, 0.1, (0.0, 2.1)))
+
+
+@pytest.fixture(scope="module")
+def saw_tall():
+    return _saw_tall_domain()
+
+
+def test_log_path_powers_match_schur_pade(saw_tall):
+    domain = saw_tall
+    G = domain.kernel_table()[1]
+    for y in (0.037, 0.1, 0.245, 0.3137):
+        ref = np.real(sla.fractional_matrix_power(G, y / domain.h))
+        assert _rel_sup(domain.power_rows(y), ref) <= 1e-12
+
+
+def test_log_path_semigroup(saw_tall):
+    # fractional parts 0.7 + 0.1 and, with a carry into G^n, 0.7 + 0.5
+    domain = saw_tall
+    for y1, y2 in ((0.37, 0.61), (0.37, 0.45)):
+        prod = domain.power_rows(y1) @ domain.power_rows(y2)
+        assert _rel_sup(prod, domain.power_rows(y1 + y2)) <= 1e-12
+
+
+def test_log_path_on_a_defective_eigenbasis():
+    # at h = 0.05 V diag(vals) V^-1 misses G by 2e5: no eigen path is possible
+    graph = LipschitzGraph.sawtooth(1.1, 2, 2.2)
+    domain = build_domain(DomainConfig(graph, 5.0, 5.0, 0.05, (0.0, 2.1)))
+    assert domain._eigensystem() == "schur"
+    ref = np.real(sla.fractional_matrix_power(domain.kernel_table()[1], 7.4))
+    assert _rel_sup(domain.power_rows(0.37), ref) <= 1e-12
+
+
+def test_log_path_rejects_an_inaccurate_logarithm(monkeypatch):
+    logm = sla.logm
+    monkeypatch.setattr(sla, "logm", lambda G: logm(G) * (1.0 + 1e-9))
+    with pytest.raises(ConvergenceError):
+        _saw_tall_domain().power_rows(0.25)
+
+
+_PATH_OF_README_SAWTOOTH = """
+from lipvar.domain_field import DomainConfig, LipschitzGraph, build_domain
+graph = LipschitzGraph.sawtooth(0.5, 2, 1.0, 0)
+domain = build_domain(DomainConfig(graph, 6.0, 6.0, 0.05, (0.0, 1.0)))
+eig = domain._eigensystem()
+print(eig if isinstance(eig, str) else "eigen")
+"""
+
+
+def test_power_path_independent_of_blas_threads():
+    # this grid's reconstruction error straddles 1e-6 across thread counts;
+    # its eigenbasis condition number (1.4e7) does not
+    src = str(Path(lipvar.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _PATH_OF_README_SAWTOOTH], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "schur", threads
 
 
 # -- harnack exponent ---------------------------------------------------------------

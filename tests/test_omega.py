@@ -215,6 +215,17 @@ def test_omega_limit_nonconvergence_reports_history(flat_small):
     assert err.value.history
 
 
+def test_omega_cache_respects_n_max(flat_small):
+    # tol=2e-5 settles at level 9; a cap of 6 must fail whether or not the
+    # uncapped limit is already cached on this u
+    domain, _ = flat_small
+    u = harmonic_extension(domain, arc_indicator(domain, -1.0, 1.0))
+    seg = Segment(0.3, 0.4)
+    omega_limit(domain, u, seg, EPS, tol=2e-5)
+    with pytest.raises(ConvergenceError):
+        omega_limit(domain, u, seg, EPS, tol=2e-5, n_max=6)
+
+
 def test_omega_positivity_wide_segment(flat_small):
     domain, u = flat_small
     om = omega_limit(domain, u, Segment(0.2, 0.6), EPS)
