@@ -38,6 +38,11 @@ NEGLIGIBLE_MASS = 1e-12  # nodes below this fraction of total weight are exclude
 EIG_COND_MAX = 1e5       # eigenbasis condition number above which powers use log G
 _SOLVE_CHUNK = 64
 
+# four Gauss-Legendre nodes on [-1, 1]; row p of the inverse Vandermonde
+# matrix holds the t^p coefficients of the nodes' Lagrange polynomials
+_GAUSS_T = np.polynomial.legendre.leggauss(4)[0]
+_GAUSS_LAGRANGE = np.linalg.inv(np.vander(_GAUSS_T, 4, increasing=True))
+
 
 @dataclass(frozen=True)
 class DomainConfig:
@@ -134,6 +139,7 @@ class DiscreteDomain:
         self._weights = None
         self._eig = None
         self._log = None
+        self._fractions = None
         self._powers = {}
 
     # -- construction checks ---------------------------------------------------
@@ -495,28 +501,59 @@ class DiscreteDomain:
             out = self._powers[key] = np.linalg.matrix_power(self.kernel_table()[1], n)
         return out
 
-    def power_sum(self, terms):
-        """Sum of w_q G^(y_q/h) X_q over an iterable of (y_q, w_q, X_q).
+    # -- the kink-cell height rule ------------------------------------------------
 
-        Terms are consumed one at a time, so no more than one X_q is held.
-        On the eigen path each X_q is moved into the eigenbasis, scaled by
-        w_q lambda^(y_q/h) and accumulated there; the sum goes back through
-        V once.  The log path sums ``power_rows`` products.
+    def height_rule(self, a, b):
+        """Quadrature of a height integrand over [a, b]: ``[(k, weights)]``.
+
+        Height integrands here (band rows linear between grid levels, fields
+        read at twice the height) are smooth between kinks at the multiples
+        of h/2, so [a, b] is cut there.  Cell k = [k h/2, (k+1) h/2] always
+        carries its four Gauss-Legendre nodes (``cell_nodes``); a cell the
+        interval covers in part weights them by the integrals of their cubic
+        Lagrange polynomials over the covered part.  Whole cells get the
+        Gauss weights, and the rule is additive under any split of [a, b].
+        """
+        half = self.h / 2
+        lo, hi = a / half, b / half  # in cells; ends within 1e-9 snap to a kink
+        lo, hi = (round(t) if abs(t - round(t)) < 1e-9 else t for t in (lo, hi))
+        p = np.arange(1, 5)
+        rule = []
+        for k in range(int(np.floor(lo)), int(np.ceil(hi))):
+            t0, t1 = max(2 * (lo - k) - 1, -1.0), min(2 * (hi - k) - 1, 1.0)
+            moments = (t1 ** p - t0 ** p) / p
+            rule.append((k, (half / 2) * (moments @ _GAUSS_LAGRANGE)))
+        return rule
+
+    def cell_nodes(self, k):
+        """Heights of the four Gauss-Legendre nodes of height cell k."""
+        return (k + (1 + _GAUSS_T) / 2) * self.h / 2
+
+    def cell_powers(self, k):
+        """G^(y/h) at the four nodes of height cell k, stacked (4, nx, nx).
+
+        Computed afresh, outside the ``power_rows`` cache.  On the eigen path
+        each is V diag(λ^s) V⁻¹.  On the log path a node sits a fraction
+        f = (k mod 2 + (1 + t_i)/2) / 2 of a step above G^⌊k/2⌋, one of eight
+        values, so its power is G^⌊k/2⌋ times one of the eight matrices
+        expm(f log G) that ``_fraction_table`` keeps per domain.
         """
         eig = self._eigensystem()
-        acc = 0.0
-        if eig == "schur":
-            for y, wq, X in terms:
-                term = self.power_rows(y) @ X
-                term *= wq
-                acc += term
-            return acc
-        vals, V, Vinv = eig
-        for y, wq, X in terms:
-            term = Vinv @ X
-            term *= (wq * vals ** (y / self.h))[:, None]
-            acc += term
-        return (V @ acc).real
+        if eig != "schur":
+            vals, V, Vinv = eig
+            return np.stack([((V * vals ** (y / self.h)) @ Vinv).real
+                             for y in self.cell_nodes(k)])
+        return self._integer_power(k // 2) @ self._fraction_table()[k % 2]
+
+    def _fraction_table(self):
+        """expm(f log G) at the eight node fractions f, shaped (2, 4, nx, nx)."""
+        if self._fractions is None:
+            L = self._log_generator()
+            self._fractions = np.stack([
+                np.stack([np.real(sla.expm((parity + (1 + t) / 2) / 2 * L))
+                          for t in _GAUSS_T])
+                for parity in (0, 1)])
+        return self._fractions
 
 
 # ---------------------------------------------------------------------------

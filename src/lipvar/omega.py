@@ -19,7 +19,6 @@ direct solver rows the grid's composition defect would dominate instead.
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +31,6 @@ from .errors import ConfigError, ConvergenceError, ResolutionError
 DEFAULT_EPS = 0.05
 OMEGA_TOL = 1e-3
 N_MAX = 12
-_B_CACHE_SIZE = 288
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +119,18 @@ def dyadic_partition(seg: Segment, n: int) -> Partition:
 class OmegaWorkspace:
     """Caches the eps-independent pieces of the construction for one (domain, u).
 
-    The workspace lives in ``u``'s own cache and holds ``u`` weakly, so a
-    dropped ``u`` frees its workspace at once, without the cyclic collector.
+    Every b_seg is a weighted sum of node kernels b_y on the kink cells of
+    ``DiscreteDomain.height_rule``, so ``_b`` keeps, per height cell k, its
+    four node kernels stacked (4, nx, nx); a cell is built once and serves
+    every segment that touches it.  The workspace lives in ``u``'s own cache
+    and holds ``u`` weakly, so a dropped ``u`` frees its workspace at once,
+    without the cyclic collector.
     """
 
     def __init__(self, domain: DiscreteDomain, u: HarmonicField):
         self.domain = domain
         self._u = weakref.ref(u)
-        self._b = OrderedDict()
+        self._b = {}
         self._omega = {}
 
     @property
@@ -139,15 +141,12 @@ class OmegaWorkspace:
         return K.mass_rows(self.domain, y, "power")
 
     def b_entries(self, seg: Segment):
-        key = (round(seg.m, 12), round(seg.M, 12))
-        if key in self._b:
-            self._b.move_to_end(key)
-            return self._b[key]
-        val = K.build_b_segment(self.domain, self.u, seg, family="power").entries
-        self._b[key] = val
-        if len(self._b) > _B_CACHE_SIZE:
-            self._b.popitem(last=False)
-        return val
+        return K.cell_sum(self.domain.height_rule(seg.m, seg.M), self._cell_kernels)
+
+    def _cell_kernels(self, k: int):
+        if k not in self._b:
+            self._b[k] = K.cell_kernels(self.domain, self.u, k, "power")
+        return self._b[k]
 
     def omega_tilde_entries(self, seg: Segment, eps: float):
         kpart = K.build_k(self.domain, seg.length, "power").entries

@@ -268,47 +268,12 @@ def test_b_segment_envelope_bound(flat_small):
     assert const < 50.0
 
 
-def _per_node_power_b(domain, u, a, b):
-    """One 4-point Gauss panel on [a, b] summed node by node with build_b."""
-    nodes, wts = np.polynomial.legendre.leggauss(4)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return sum(half * wq * K.build_b(domain, u, mid + half * t, "power").entries
-               for t, wq in zip(nodes, wts))
-
-
-def _assert_fused_quadrature_matches(domain, u, a, b):
-    fused = K._b_quadrature(domain, u, a, b, 1, "power")
-    ref = _per_node_power_b(domain, u, a, b)
-    assert np.abs(fused - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_power_quadrature_in_real_eigenbasis(kernel_flat):
-    domain, u = kernel_flat
-    eig = domain._eigensystem()
-    assert isinstance(eig, tuple)
-    assert not any(np.iscomplexobj(a) for a in eig)
-    _assert_fused_quadrature_matches(domain, u, 0.3, 0.4)
-
-
-def test_power_quadrature_on_schur_path():
-    # a tall sawtooth whose one-step eigenbasis reconstructs at ~6e-6, inside
-    # the Schur-Pade band (1e-6, 1e-4] whatever the BLAS thread count
-    graph = LipschitzGraph.sawtooth(1.1, 2, 2.2)
-    domain = build_domain(DomainConfig(graph, 5.0, 5.0, 0.1, (0.0, 2.1)))
-    u = harmonic_extension(domain, arc_indicator(domain, -1.0, 1.0))
-    assert domain._eigensystem() == "schur"
-    _assert_fused_quadrature_matches(domain, u, 0.3, 0.4)
-
-
-# -- log path of the fractional powers -------------------------------------------
-
-
 def _rel_sup(a, ref):
     return np.abs(a - ref).max() / np.abs(ref).max()
 
 
 def _saw_tall_domain():
-    """The tall sawtooth of the Schur-path test: kappa_2(V) ~ 8e7, log path."""
+    """A tall sawtooth at h = 0.1: kappa_2(V) ~ 8e7, log path."""
     graph = LipschitzGraph.sawtooth(1.1, 2, 2.2)
     return build_domain(DomainConfig(graph, 5.0, 5.0, 0.1, (0.0, 2.1)))
 
@@ -316,6 +281,88 @@ def _saw_tall_domain():
 @pytest.fixture(scope="module")
 def saw_tall():
     return _saw_tall_domain()
+
+
+def test_b_segment_rejects_empty_segment(flat_small):
+    domain, u = flat_small
+    with pytest.raises(ConfigError):
+        K.build_b_segment(domain, u, (0.3, 0.3))
+
+
+def _refined_power_b(domain, u, a, b, n=6, sub=2):
+    """n-point Gauss on ``sub`` panels per piece between kinks (multiples of
+    h/2 and the ends), summed node by node with build_b."""
+    nodes, wts = np.polynomial.legendre.leggauss(n)
+    half = domain.h / 2
+    kinks = half * np.arange(np.ceil(a / half), np.floor(b / half) + 1)
+    edges = np.unique(np.concatenate([[a, b], kinks]))
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        panels = np.linspace(lo, hi, sub + 1)
+        for p0, p1 in zip(panels[:-1], panels[1:]):
+            mid, hw = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
+            for t, wq in zip(nodes, wts):
+                total = total + hw * wq * K.build_b(domain, u, mid + hw * t, "power").entries
+    return total
+
+
+@pytest.fixture(scope="module")
+def saw_tall_u(saw_tall):
+    return saw_tall, harmonic_extension(saw_tall, arc_indicator(saw_tall, -1.0, 1.0))
+
+
+# (grid, segment with ends on multiples of h/2): the flat grid takes the eigen
+# path in real arithmetic, the tall sawtooth the log path.  Near its 2h floor
+# the tall sawtooth's b_y varies fast enough for the four-node cells to miss
+# by 8.7e-12 on [0.3, 0.4]; on [0.5, 0.7] they miss by 6e-14.
+POWER_GRIDS = [("kernel_flat", (0.3, 0.4)), ("saw_tall_u", (0.5, 0.7))]
+
+
+@pytest.mark.parametrize("grid, lattice_seg", POWER_GRIDS, ids=["eigen", "log"])
+def test_b_segment_matches_refined_reference(grid, lattice_seg, request):
+    domain, u = request.getfixturevalue(grid)
+    b = K.build_b_segment(domain, u, lattice_seg, family="power").entries
+    assert _rel_sup(b, _refined_power_b(domain, u, *lattice_seg)) <= 1e-12
+    # partial cells at both ends: cubic interpolation of b over each
+    partial = K.build_b_segment(domain, u, (0.33, 0.41), family="power").entries
+    assert _rel_sup(partial, _refined_power_b(domain, u, 0.33, 0.41)) <= 2e-6
+
+
+@pytest.mark.parametrize("grid, lattice_seg", POWER_GRIDS, ids=["eigen", "log"])
+def test_b_segment_split_additive_off_lattice(grid, lattice_seg, request):
+    domain, u = request.getfixturevalue(grid)
+    a, b = lattice_seg
+    cut = a + 0.37 * (b - a)
+    assert abs(cut / (domain.h / 2) - round(cut / (domain.h / 2))) > 0.1
+    whole = K.build_b_segment(domain, u, (a, b), family="power").entries
+    split = (K.build_b_segment(domain, u, (a, cut), family="power").entries
+             + K.build_b_segment(domain, u, (cut, b), family="power").entries)
+    assert _rel_sup(split, whole) <= 1e-12
+
+
+@pytest.mark.parametrize("grid, lattice_seg", POWER_GRIDS, ids=["eigen", "log"])
+def test_cell_powers_bypass_power_rows(grid, lattice_seg, request, monkeypatch):
+    domain, u = request.getfixturevalue(grid)
+    eig = domain._eigensystem()
+    if grid == "kernel_flat":
+        assert isinstance(eig, tuple)
+        assert not any(np.iscomplexobj(a) for a in eig)
+    else:
+        assert eig == "schur"
+    half = domain.h / 2
+    for k in range(int(round(lattice_seg[0] / half)), int(round(lattice_seg[1] / half))):
+        powers = domain.cell_powers(k)
+        for y, p in zip(domain.cell_nodes(k), powers):
+            assert _rel_sup(p, domain.power_rows(y)) <= 1e-12
+
+    def no_power_rows(self, y):
+        raise AssertionError(f"power_rows({y}) called")
+
+    monkeypatch.setattr(type(domain), "power_rows", no_power_rows)
+    K.build_b_segment(domain, u, (0.33, 0.41), family="power")
+
+
+# -- log path of the fractional powers -------------------------------------------
 
 
 def test_log_path_powers_match_schur_pade(saw_tall):

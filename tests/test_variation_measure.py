@@ -65,6 +65,20 @@ def test_variation_closed_form_flat(oracle_flat):
     assert abs(V.values[i0] - oracle) <= 0.05 * oracle
 
 
+def test_variation_matches_refined_reference(flat_small):
+    # 8-point Gauss on two panels per cell between the kinks at multiples of h/2
+    domain, u = flat_small
+    V = vertical_variation(domain, u)
+    nodes, wts = np.polynomial.legendre.leggauss(8)
+    edges = np.arange(V.y_min, V.y_max + 1e-9, domain.h / 4)
+    ref = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for t, wq in zip(nodes, wts):
+            y = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+            ref = ref + 0.5 * (hi - lo) * wq * K.apply_b(domain, u, y, u.rows(y))
+    assert np.abs(V.values - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 def test_variation_reports_tail(flat_small):
     domain, u = flat_small
     V = vertical_variation(domain, u)
