@@ -15,8 +15,9 @@ domain_field       geometry, grid discretization, Dirichlet solves, harmonic
                    measure, Green's function, walk-on-spheres oracle
 kernels            dense boundary-kernel algebra and the Harnack exponent fit
 omega              segments, partitions, the perturbed kernel family and its
-                   dyadic refinement limit, plus its property checkers
+                   dyadic refinement limit
 variation_measure  vertical variation, transformed measures, ball probes
+checks             every check's measurement and the verify suites
 cli                command-line front end (solve / verify / probe / ...)
 """
 
@@ -27,6 +28,7 @@ __all__ = [
     "kernels",
     "omega",
     "variation_measure",
+    "checks",
     "cli",
     "__version__",
 ]

@@ -255,80 +255,6 @@ def omega_limit(domain: DiscreteDomain, u: HarmonicField, seg: Segment,
                                   "scale": scale})
 
 
-def check_omega_properties(omega: K.BoundaryKernel, omega_t: K.BoundaryKernel,
-                           seg: Segment, eps: float,
-                           u: HarmonicField | None = None,
-                           refined: K.BoundaryKernel | None = None) -> dict:
-    """Report normalization, semigroup, positivity and closeness margins.
-
-    ``refined``, when given, is the same omega built on a mesh-halved domain;
-    its adjacent-row continuity ratio is then included.  Report-only: every
-    entry carries a margin and a pass flag, nothing raises.
-    """
-    if omega.domain is not omega_t.domain:
-        raise ConfigError("kernels must share a domain")
-    d = omega.domain
-    report = {}
-
-    norm = float(np.abs(omega.row_integrals() - 1.0).max())
-    report["normalization"] = {"margin": norm, "passed": norm <= 1e-3}
-
-    if u is not None:
-        mid = 0.5 * (seg.m + seg.M)
-        left, right = seg.split(mid)
-        ws = _workspace(d, u)
-        ol, _, _ = ws.omega_entries(left, eps)
-        orr, _, _ = ws.omega_entries(right, eps)
-        comp = ws.compose_entries(orr, ol)
-        rel = float(np.abs(comp - omega.entries).max() / max(np.abs(omega.entries).max(), 1e-300))
-        report["semigroup"] = {"margin": rel, "passed": rel <= 0.02,
-                               "split_at": mid}
-
-    min_entry = float(omega.entries.min())
-    pos = {"min_entry": min_entry, "passed": min_entry >= 0.0, "chain": None}
-    if min_entry < 0 and u is not None and seg.length > seg.m:
-        # compose doubling blocks, each within the aspect range that stays positive
-        ws = _workspace(d, u)
-        mins = []
-        a = seg.m
-        while True:
-            b = min(2 * a, seg.M)
-            if seg.M - b < b - 1e-12 and b < seg.M:
-                b = seg.M
-            ent, _, _ = ws.omega_entries(Segment(a, b), eps)
-            mins.append(float(ent.min()))
-            if b >= seg.M - 1e-12:
-                break
-            a = b
-        pos["chain"] = mins
-        pos["passed"] = all(m >= 0 for m in mins)
-    report["positivity"] = pos
-
-    gap = float(np.abs(omega.entries - omega_t.entries).max())
-    k_m_sup = omega.meta.get("scale")
-    if k_m_sup is None:
-        k_m_sup = float(np.abs(K.build_k(d, seg.m, "power").entries).max())
-    closeness = {
-        "gap": gap,
-        "passed": True,
-        "required_constant": gap / max(eps ** 2 * seg.ratio ** 2 * k_m_sup, 1e-300)
-        if eps > 0 else 0.0,
-        "applicable": seg.length <= seg.m + 1e-12,
-    }
-    report["closeness"] = closeness
-
-    adj = float(np.abs(np.diff(omega.entries, axis=0)).max())
-    cont = {"adjacent_row_sup": adj, "cauchy_ratio": None, "passed": True}
-    if refined is not None:
-        # adjacent nodes of the refined mesh sit half as far apart, so the
-        # row modulus of a continuous kernel must shrink accordingly
-        adj2 = float(np.abs(np.diff(refined.entries, axis=0)).max())
-        cont["cauchy_ratio"] = adj2 / max(adj, 1e-300)
-        cont["passed"] = cont["cauchy_ratio"] <= 0.6
-    report["continuity"] = cont
-    return report
-
-
 # ---------------------------------------------------------------------------
 # the omega_[y, 1] ladder
 # ---------------------------------------------------------------------------

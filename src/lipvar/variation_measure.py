@@ -221,29 +221,6 @@ class SurfaceBall:
         return np.linalg.norm(xy - np.asarray(self.center, dtype=float), axis=1) <= self.radius + 1e-12
 
 
-def measure_bounds_check(domain: DiscreteDomain, u: HarmonicField,
-                         kappa: BoundaryMeasure, eps: float,
-                         nu: BoundaryMeasure, balls,
-                         variation: VariationResult | None = None) -> dict:
-    """Report the variation-integral ratio and the ball masses of nu.
-
-    R1 = eps * integral of V d nu / integral of u_1 d kappa must be finite;
-    each ball's nu-mass is reported for the eps-sweep floor check.
-    """
-    if variation is None:
-        variation = vertical_variation(domain, u)
-    int_v = float(nu.s_masses @ variation.values)
-    int_u1 = float(kappa.s_masses @ u.rows(1.0))
-    r1 = eps * int_v / max(int_u1, 1e-300)
-    masses = []
-    for ball in balls:
-        b = ball.snap_to(domain)
-        masses.append({"center": list(b.center), "radius": b.radius,
-                       "nu_mass": float(nu.s_masses[b.node_mask(domain)].sum())})
-    return {"eps": eps, "R1": r1, "int_V_dnu": int_v, "int_u1_dkappa": int_u1,
-            "balls": masses}
-
-
 @dataclass
 class ProbeResult:
     """Outcome of the low-variation probe on one surface ball."""
@@ -304,15 +281,15 @@ def probe_ball(domain: DiscreteDomain, u: HarmonicField, ball: SurfaceBall,
     if variation is None:
         variation = vertical_variation(domain, u)
 
-    int_v = float(nu.s_masses @ variation.values)
-    int_u1 = float(kappa.s_masses @ u.rows(1.0))
+    from .checks import variation_ratio  # checks imports this module
+
+    r1, int_v, int_u1, (ball_mass,) = variation_ratio(u, kappa, eps, nu, variation, [ball])
     u_z1 = float(u.at(z1))
-    ball_mass = float(nu.s_masses[mask].sum())
 
     chain = {
         "int_V_dnu": int_v,
         "int_u1_dkappa": int_u1,
-        "R1": eps * int_v / max(int_u1, 1e-300),
+        "R1": r1,
         "nu_ball_mass": ball_mass,
         "nu_total_mass": nu.s_total,
         "y_floor": diag.y_sequence[-1],

@@ -160,3 +160,62 @@ def test_unknown_domain_key_exits_2(tmp_path, capsys):
     p.write_text(json.dumps(dict(CFG, domain=dict(CFG["domain"], grid_step=0.1))))
     assert main(["--config", str(p), "--out", str(tmp_path), "solve"]) == 2
     assert "grid_step" in capsys.readouterr().err
+
+
+def _write_cfg(tmp_path, **changes):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(dict(CFG, **changes)))
+    return str(p)
+
+
+@pytest.mark.parametrize("segments", [[[0.4, 0.2]], [0.2, 0.4], [["a", 0.4]]])
+def test_bad_segment_exits_2(tmp_path, segments):
+    p = _write_cfg(tmp_path, segments=segments)
+    assert main(["--config", p, "--out", str(tmp_path / "o"), "verify", "field"]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_second_segment_exits_2(tmp_path, capsys):
+    p = _write_cfg(tmp_path, segments=[[0.2, 0.4], [0.4, 0.8]])
+    assert main(["--config", p, "--out", str(tmp_path / "o"), "verify", "field"]) == 2
+    assert "segments" in capsys.readouterr().err
+
+
+def test_failed_construction_is_a_failed_record(cfg_path, tmp_path, monkeypatch):
+    from lipvar import checks
+    from lipvar.errors import ConvergenceError
+
+    def fail(*args, **kwargs):
+        raise ConvergenceError("phi limit not settled")
+
+    monkeypatch.setattr(checks, "phi_ratios", fail)
+    out = tmp_path / "o"
+    assert main(["--config", cfg_path, "--out", str(out), "verify", "omega"]) == 1
+    rep = json.loads((out / "verify_omega.json").read_text())
+    by_name = {c["name"]: c for c in rep["checks"]}
+    assert by_name["phi_property"] == {
+        "name": "phi_property", "bound": "ratio stable within factor 2 under halving",
+        "margin": float("inf"), "passed": False, "error": "phi limit not settled"}
+    assert all(c["passed"] for c in rep["checks"] if c["name"] != "phi_property")
+
+
+def test_verify_all_gives_one_record_per_check(cfg_path, tmp_path):
+    import numpy as np
+
+    from lipvar import checks
+    from lipvar.cli import RunConfig, _build
+
+    out = tmp_path / "o"
+    assert main(["--config", cfg_path, "--out", str(out), "verify", "all"]) == 0
+    records = json.loads((out / "verify_all.json").read_text())["checks"]
+    cfg = RunConfig.load(cfg_path)
+    domain, u = _build(cfg)
+    rng = np.random.default_rng(0)
+    declared = [name for suite in checks.SUITES.values()
+                for name, _, _ in suite(cfg, domain, u, rng)]
+    names = [c["name"] for c in records]
+    assert len(set(names)) == len(names)
+    # the one check that does not apply: the flat config's weak-convergence
+    # slope is not finite
+    assert names == [n for n in declared if n != "weak_convergence_slope"]
+    assert all({"name", "bound", "margin", "passed"} <= set(c) for c in records)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lipvar import kernels as K
+from lipvar.checks import variation_ratio
 from lipvar.domain_field import (
     halfplane,
     harmonic_extension,
@@ -10,7 +11,6 @@ from lipvar.domain_field import (
 from lipvar.errors import ConfigError
 from lipvar.variation_measure import (
     SurfaceBall,
-    measure_bounds_check,
     nu_limit,
     probe_ball,
     transform_measure,
@@ -176,11 +176,10 @@ def test_measure_bounds_eps_zero_collapse(flat_small):
     kappa = kernel_measure(domain, (0.0, 1.0))
     nu, _ = nu_limit(domain, u, kappa, 0.0, y_sequence=(0.4, 0.2))
     V = vertical_variation(domain, u)
-    rep = measure_bounds_check(domain, u, kappa, 0.0, nu,
-                               [SurfaceBall((0.0, 0.0), 0.5)], variation=V)
+    r1, int_v, _, _ = variation_ratio(u, kappa, 0.0, nu, V, [SurfaceBall((0.0, 0.0), 0.5)])
     direct = float(nu.s_masses @ V.values)
-    assert rep["int_V_dnu"] == pytest.approx(direct)
-    assert rep["R1"] == 0.0
+    assert int_v == pytest.approx(direct)
+    assert r1 == 0.0
 
 
 def test_probe_flat_pipeline(flat_small):
