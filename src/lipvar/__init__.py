@@ -16,7 +16,7 @@ domain_field       geometry, grid discretization, Dirichlet solves, harmonic
 kernels            dense boundary-kernel algebra and the Harnack exponent fit
 omega              segments, partitions, the perturbed kernel family and its
                    dyadic refinement limit
-variation_measure  vertical variation, transformed measures, ball probes
+variation_measure  vertical variation, transformed measures, R1, ball probes
 checks             every check's measurement and the verify suites
 cli                command-line front end (solve / verify / probe / ...)
 """

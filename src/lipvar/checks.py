@@ -34,7 +34,7 @@ from .omega import (
     phi_property_check,
     pi_product,
 )
-from .variation_measure import SurfaceBall, nu_limit, probe_ball, vertical_variation
+from .variation_measure import SurfaceBall, nu_limit, probe_ball, variation_ratio, vertical_variation
 
 # ---------------------------------------------------------------------------
 # measurements
@@ -60,11 +60,12 @@ def k_semigroup_error(domain, y1, y2):
 
 
 def dyadic_decay(domain, u, seg, eps, tol):
-    """Worst level-difference ratio for n >= 3 (0 if none), and the history."""
+    """Worst level-difference ratio for n >= 3, and the history.  With no such
+    level recorded there is no decay evidence, and the ratio reads inf."""
     om = omega_limit(domain, u, seg, eps, tol=tol)
     history = om.meta["history"]
     ratios = [r for (n, _), r in zip(history[1:], om.meta["decay_ratios"]) if n >= 3]
-    return max(ratios, default=0.0), history
+    return max(ratios, default=float("inf")), history
 
 
 def omega_split_error(domain, u, seg, eps, at):
@@ -94,14 +95,6 @@ def ode_residuals(domain, u, eps, grid):
     """Relative ODE residual at eps and absolute residual at eps = 0."""
     return (ode_check(domain, u, u, eps, grid)["rel_residual"],
             ode_check(domain, u, u, 0.0, grid)["abs_residual"])
-
-
-def variation_ratio(u, kappa, eps, nu, variation, balls=()):
-    """R1 = eps * int V dnu / int u_1 dkappa, both integrals, each ball's nu-mass."""
-    int_v = float(nu.s_masses @ variation.values)
-    int_u1 = float(kappa.s_masses @ u.rows(1.0))
-    masses = [float(nu.s_masses[b.node_mask(u.domain)].sum()) for b in balls]
-    return eps * int_v / max(int_u1, 1e-300), int_v, int_u1, masses
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .domain_field.grid import (
 from . import kernels as K
 from .errors import ConfigError, LipvarError
 from .omega import Segment, find_positive_epsilon
-from .variation_measure import SurfaceBall, nu_limit, probe_ball, vertical_variation
+from .variation_measure import SurfaceBall, nu_limit, probe_ball, variation_ratio, vertical_variation
 
 SUITES = (*checks.SUITES, "all")
 
@@ -226,11 +226,12 @@ def cmd_sweep_epsilon(cfg: RunConfig, out: Path) -> int:
     kappa = kernel_measure(domain, (cfg.z1[0], cfg.z1[1] - 1.0))
     balls = [SurfaceBall(tuple(b["center"]), float(b["radius"])).snap_to(domain)
              for b in cfg.balls]
+    masks = [b.node_mask(domain) for b in balls]
     V = vertical_variation(domain, u)
     floors = {}
     for eps in (0.02, 0.05, 0.1):
         nu, _ = nu_limit(domain, u, kappa, eps, cfg.y_sequence)
-        r1, int_v, int_u1, masses = checks.variation_ratio(u, kappa, eps, nu, V, balls)
+        r1, int_v, int_u1, masses = variation_ratio(u, kappa, eps, nu, V, masks)
         floors[str(eps)] = {
             "eps": eps, "R1": r1, "int_V_dnu": int_v, "int_u1_dkappa": int_u1,
             "balls": [{"center": list(b.center), "radius": b.radius, "nu_mass": mass}

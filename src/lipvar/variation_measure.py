@@ -252,6 +252,14 @@ class ProbeResult:
         }
 
 
+def variation_ratio(u, kappa, eps, nu, variation, masks=()):
+    """R1 = eps * int V dnu / int u_1 dkappa, both integrals, each node mask's nu-mass."""
+    int_v = float(nu.s_masses @ variation.values)
+    int_u1 = float(kappa.s_masses @ u.rows(1.0))
+    masses = [float(nu.s_masses[m].sum()) for m in masks]
+    return eps * int_v / max(int_u1, 1e-300), int_v, int_u1, masses
+
+
 def probe_ball(domain: DiscreteDomain, u: HarmonicField, ball: SurfaceBall,
                z1=(0.0, 2.0), eps: float = 0.05, y_sequence=None,
                variation: VariationResult | None = None) -> ProbeResult:
@@ -281,9 +289,7 @@ def probe_ball(domain: DiscreteDomain, u: HarmonicField, ball: SurfaceBall,
     if variation is None:
         variation = vertical_variation(domain, u)
 
-    from .checks import variation_ratio  # checks imports this module
-
-    r1, int_v, int_u1, (ball_mass,) = variation_ratio(u, kappa, eps, nu, variation, [ball])
+    r1, int_v, int_u1, (ball_mass,) = variation_ratio(u, kappa, eps, nu, variation, [mask])
     u_z1 = float(u.at(z1))
 
     chain = {

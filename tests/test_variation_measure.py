@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lipvar import kernels as K
-from lipvar.checks import variation_ratio
 from lipvar.domain_field import (
     halfplane,
     harmonic_extension,
@@ -14,6 +13,7 @@ from lipvar.variation_measure import (
     nu_limit,
     probe_ball,
     transform_measure,
+    variation_ratio,
     vertical_variation,
 )
 
@@ -176,7 +176,8 @@ def test_measure_bounds_eps_zero_collapse(flat_small):
     kappa = kernel_measure(domain, (0.0, 1.0))
     nu, _ = nu_limit(domain, u, kappa, 0.0, y_sequence=(0.4, 0.2))
     V = vertical_variation(domain, u)
-    r1, int_v, _, _ = variation_ratio(u, kappa, 0.0, nu, V, [SurfaceBall((0.0, 0.0), 0.5)])
+    r1, int_v, _, _ = variation_ratio(
+        u, kappa, 0.0, nu, V, [SurfaceBall((0.0, 0.0), 0.5).node_mask(domain)])
     direct = float(nu.s_masses @ V.values)
     assert int_v == pytest.approx(direct)
     assert r1 == 0.0
