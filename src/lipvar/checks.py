@@ -231,7 +231,7 @@ def _kernels(cfg, domain, u, rng):
         # band, this sup error over sup |grad u| 1.53 % and 1.51 %.
         worst = 0.0
         for _ in range(50):
-            y = rng.uniform(2 * hs, min(1.0, domain.band_rows * hs / 2 - hs))
+            y = rng.uniform(2 * hs, min(1.0, domain.field_rows * hs / 2 - hs))
             gy = K.apply_c(domain, u, y, u.rows(y))
             _, _, gn = u.sigma_rows(2 * y)
             core = np.abs(domain.xs) <= cfg.domain.box_halfwidth / 2
@@ -328,7 +328,7 @@ def _variation(cfg, domain, u, rng):
     nu = cache(lambda: nu_limit(domain, u, kappa(), eps, cfg.y_sequence))
 
     def dominates():
-        ytop = min(1.0, (domain.band_rows - 1) * domain.h / 3)
+        ytop = min(1.0, (domain.field_rows - 1) * domain.h / 3)
         ys = np.linspace(V().y_min, ytop, 41)
         grad_int = np.zeros(domain.nx)
         for y0, y1 in zip(ys[:-1], ys[1:]):
@@ -341,7 +341,7 @@ def _variation(cfg, domain, u, rng):
         neg = 0.0
         for y in np.linspace(V().y_min, 1.0, 9):
             neg = min(neg, float(K.apply_b(domain, u, y, u.rows(y)).min()))
-        return -neg, neg >= -1e-3
+        return max(0.0, -neg), neg >= -1e-3
 
     def gamma_mass():
         masses = nu()[1].total_masses

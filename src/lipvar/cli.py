@@ -90,12 +90,17 @@ class RunConfig:
             (seg,) = [Segment(float(m), float(M)) for m, M in raw.get("segments", [(0.2, 0.4)])]
         except (TypeError, ValueError):
             raise ConfigError("segments must hold exactly one [m, M] pair of numbers")
+        if seg.M > 1.0:
+            raise ConfigError(f"segment top {seg.M} above 1, where the kernel band ends")
+        balls = tuple(raw.get("balls", ({"center": (0.0, 0.0), "radius": 0.5},)))
+        if not balls:
+            raise ConfigError("balls must hold at least one ball")
         return cls(
             domain=dom,
             epsilon=eps,
             u_arc=tuple(raw.get("u_arc", (-1.0, 1.0))),
             segments=((seg.m, seg.M),),
-            balls=tuple(raw.get("balls", ({"center": (0.0, 0.0), "radius": 0.5},))),
+            balls=balls,
             z1=tuple(raw.get("z1", (0.0, 2.0))),
             y_sequence=tuple(raw["y_sequence"]) if "y_sequence" in raw else None,
             wos_samples=int(raw.get("wos_samples", 20000)),
@@ -141,7 +146,7 @@ def cmd_solve(cfg: RunConfig, out: Path, use_cache: bool = True) -> int:
                              {"mass": m.s_masses})
     reports.write_node_table(cache / "u_boundary_band.csv", domain,
                              {f"u_y{k}": u.band()[k] for k in
-                              range(0, domain.band_rows + 1, max(1, domain.band_rows // 8))})
+                              range(0, domain.field_rows + 1, max(1, domain.field_rows // 8))})
     g = greens_function(domain, cfg.domain.pole)
     heights = [0.5, 1.0, 1.5, 2.0, 3.0]
     px, py = cfg.domain.pole
@@ -193,9 +198,6 @@ def cmd_verify(cfg: RunConfig, suite: str, out: Path) -> int:
 
 
 def cmd_probe(cfg: RunConfig, out: Path) -> int:
-    if not cfg.balls:
-        print("error: no balls configured", file=sys.stderr)
-        return 2
     domain, u = _build(cfg)
     V = vertical_variation(domain, u)
     out.mkdir(parents=True, exist_ok=True)

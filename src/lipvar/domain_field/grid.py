@@ -36,7 +36,7 @@ from .geometry import LipschitzGraph
 
 NEGLIGIBLE_MASS = 1e-12  # nodes below this fraction of total weight are excluded
 EIG_COND_MAX = 1e5       # eigenbasis condition number above which powers use log G
-_SOLVE_CHUNK = 64
+_SOLVE_CHUNK = 32
 
 # four Gauss-Legendre nodes on [-1, 1]; row p of the inverse Vandermonde
 # matrix holds the t^p coefficients of the nodes' Lagrange polynomials
@@ -56,7 +56,7 @@ class DomainConfig:
     wos_seed: int = 0
     far_field: str = "zero"     # "zero" | "halfplane"
     graph_offset: float = 0.0   # vertical shift of the boundary (enlarged domains)
-    band_height: float = 3.2    # height of the cached kernel-row band
+    band_height: float = 3.2    # height of a field's cached band (kernels stop at 1)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DomainConfig":
@@ -132,10 +132,20 @@ class DiscreteDomain:
         self._dj_w = self.jb - self.jb[self._mirror_w]
         self._dj_e = self.jb - self.jb[self._mirror_e]
 
+        # Top levels of the two bands, capped at the box head.  The kernel
+        # layer reads heights y <= 1 (the pole sits at 1); the central
+        # stencil at y = 1 reaches one level up and, on the mirrored
+        # columns, the boundary step further.  A field band reaches
+        # band_height, where the dominance check reads u at 3y.
+        head = int(self.ny - 1 - self.jb.max())
+        reach = 1 + int(max(np.abs(self._dj_e).max(), np.abs(self._dj_w).max()))
+        self.band_rows = min(int(np.ceil(1.0 / h - 1e-9)) + reach, head)
+        self.field_rows = min(int(round(config.band_height / h)), head)
+        self.kernel_mode = "reflect" if config.far_field == "zero" else "absorb"
+
         self._lu = {}
         self._coupling = {}
         self._kernel_band = None
-        self._band_rows = None
         self._weights = None
         self._eig = None
         self._log = None
@@ -211,52 +221,49 @@ class DiscreteDomain:
 
     def _assemble(self, mode):
         """5-point system A u = B s_data (+ X box_data for absorbing modes)."""
-        nx, ny, jb = self.nx, self.ny, self.jb
-        rows, cols, vals = [], [], []
-        brows, bcols, bvals = [], [], []
-        xrows, xcols, xvals = [], [], []
+        nx, ny, jb, n = self.nx, self.ny, self.jb, self.n_interior
+        p = np.arange(n)
+        i = np.repeat(np.arange(nx), ny - 1 - jb)
+        j = p - self.offsets[i] + jb[i] + 1
+        rows, cols = [p], [p]        # A: 4 on the diagonal, -1 per neighbour
+        brows, bcols = [], []        # B: 1 per graph or wall neighbour
+        xrows, xcols = [], []        # X: 1 per ghost slot (absorbing modes)
         n_box = 2 * ny + nx  # ghost slots: left rows, right rows, top columns
-        reflecting = mode == "reflect"
 
-        for i in range(nx):
-            ii_w, ii_e = (1, nx - 2) if reflecting else (None, None)
-            for j in range(jb[i] + 1, ny):
-                p = self.offsets[i] + (j - jb[i] - 1)
-                rows.append(p); cols.append(p); vals.append(4.0)
-                nbrs = ((i - 1, j, 0, j), (i + 1, j, 1, j),
-                        (i, j - 1, None, None), (i, j + 1, 2, i))
-                for (ni, nj, side, slot) in nbrs:
-                    if ni < 0 or ni >= nx or nj >= ny:
-                        if reflecting:
-                            mi = ii_w if ni < 0 else (ii_e if ni >= nx else i)
-                            mj = nj if nj < ny else ny - 2
-                            if mj > jb[mi]:
-                                rows.append(p); cols.append(self.offsets[mi] + (mj - jb[mi] - 1))
-                                vals.append(-1.0)
-                            else:
-                                brows.append(p); bcols.append(mi); bvals.append(1.0)
-                        else:
-                            base = 0 if side == 0 else (ny if side == 1 else 2 * ny)
-                            xrows.append(p); xcols.append(base + slot); xvals.append(1.0)
-                        continue
-                    if nj > jb[ni]:
-                        rows.append(p); cols.append(self.offsets[ni] + (nj - jb[ni] - 1))
-                        vals.append(-1.0)
-                    else:
-                        # graph node, or a wall node under a steep snapped step;
-                        # both carry the column's boundary data
-                        brows.append(p); bcols.append(ni); bvals.append(1.0)
+        # west, east, south, north, each with the ghost slot it falls on
+        # outside the box (the south neighbour never leaves it)
+        for ni, nj, slot in ((i - 1, j, j), (i + 1, j, ny + j),
+                             (i, j - 1, j), (i, j + 1, 2 * ny + i)):
+            if mode == "reflect":
+                # mirror ghosts: columns 1 and nx - 2, row ny - 2
+                ni = np.where(ni < 0, 1, np.where(ni >= nx, nx - 2, ni))
+                nj = np.where(nj >= ny, ny - 2, nj)
+                keep = np.ones(n, dtype=bool)
+            else:
+                keep = (ni >= 0) & (ni < nx) & (nj < ny)
+            xrows.append(p[~keep]); xcols.append(slot[~keep])
+            q, ni, nj = p[keep], ni[keep], nj[keep]
+            # a neighbour on or below the graph (a graph node, or a wall
+            # node under a steep snapped step) carries its column's data
+            inner = nj > jb[ni]
+            rows.append(q[inner]); cols.append(self.index(ni[inner], nj[inner]))
+            brows.append(q[~inner]); bcols.append(ni[~inner])
 
-        n = self.n_interior
-        A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        B = sp.csr_matrix((bvals, (brows, bcols)), shape=(n, nx))
-        X = sp.csr_matrix((xvals, (xrows, xcols)), shape=(n, n_box))
+        cat = np.concatenate
+        brows, xrows = cat(brows), cat(xrows)
+        vals = np.full(sum(map(len, rows)), -1.0)
+        vals[:n] = 4.0
+        A = sp.csr_matrix((vals, (cat(rows), cat(cols))), shape=(n, n))
+        B = sp.csr_matrix((np.ones(len(brows)), (brows, cat(bcols))), shape=(n, nx))
+        X = sp.csr_matrix((np.ones(len(xrows)), (xrows, cat(xcols))), shape=(n, n_box))
         return A, B, X
 
     def _solver(self, mode):
         if mode not in self._lu:
             A, B, X = self._assemble(mode)
-            self._lu[mode] = spla.splu(A.tocsc())
+            # minimum-degree ordering on A^T + A: about half the fill of the
+            # default COLAMD on these grids
+            self._lu[mode] = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
             self._coupling[mode] = (B, X)
         return self._lu[mode], self._coupling[mode]
 
@@ -279,36 +286,33 @@ class DiscreteDomain:
 
     # -- kernel table --------------------------------------------------------------
 
-    @property
-    def band_rows(self):
-        if self._band_rows is None:
-            want = int(round(self.config.band_height / self.h))
-            head = int(self.ny - 1 - self.jb.max())
-            self._band_rows = min(want, head)
-        return self._band_rows
+    def far_field_oracle(self):
+        """Closed-form half-plane masses of the ghost slots over the graph
+        cells, (2 ny + nx, nx), on ``halfplane`` domains; None otherwise."""
+        if self.config.far_field != "halfplane":
+            return None
+        edges = np.concatenate([self.xs - self.h / 2, [self.xs[-1] + self.h / 2]])
+        return halfplane.cell_masses(self.box_slot_points(), edges)
 
     def kernel_table(self):
-        """Per-node exit masses at all band points above each boundary node.
+        """Per-node exit masses at the band levels above each boundary node.
 
         Row band[m, i, :] is the discrete harmonic measure (masses over the
         graph mesh) seen from the point m*h above boundary node i, under the
-        domain's kernel closure.  band[0] is the identity: the measure from a
-        boundary node is the point mass at that node.
+        domain's kernel closure, for m = 0..band_rows.  band[0] is the
+        identity: the measure from a boundary node is the point mass at that
+        node.
         """
         if self._kernel_band is not None:
             return self._kernel_band
-        mode = "reflect" if self.config.far_field == "zero" else "absorb"
-        lu, (B, X) = self._solver(mode)
+        lu, (B, X) = self._solver(self.kernel_mode)
         nb = self.band_rows
         band = np.empty((nb + 1, self.nx, self.nx))
         band[0] = np.eye(self.nx)
         gather = np.empty((nb, self.nx), dtype=np.int64)
         for m in range(1, nb + 1):
             gather[m - 1] = self.index(np.arange(self.nx), self.jb + m)
-        oracle = None
-        if self.config.far_field == "halfplane":
-            edges = np.concatenate([self.xs - self.h / 2, [self.xs[-1] + self.h / 2]])
-            oracle = halfplane.cell_masses(self.box_slot_points(), edges)
+        oracle = self.far_field_oracle()
         pi, pj = self.snap_point(self.config.pole)
         if not self.is_interior(pi, pj):
             raise ConfigError("pole snapped onto the boundary")
@@ -376,13 +380,13 @@ class DiscreteDomain:
         """Level y of a band indexed (level, column, ...), linear in y.
 
         Serves the kernel band (band_rows+1, nx, nx) and a field band
-        (band_rows+1, nx) alike; heights off the band raise.
+        (field_rows+1, nx) alike; heights off the given band raise.
         """
         m, frac = self._band_level(y)
-        if m < 0 or m + (frac > 0) > self.band_rows:
+        top = len(band) - 1
+        if m < 0 or m + (frac > 0) > top:
             raise ResolutionError(
-                f"height {y} outside the cached band "
-                f"(<= {self.band_rows * self.h}); raise band_height"
+                f"height {y} outside the cached band (<= {top * self.h})"
             )
         if frac == 0:
             return band[m]
@@ -396,7 +400,7 @@ class DiscreteDomain:
         boundary step between the columns.
         """
         m, frac = self._band_level(y)
-        nb = self.band_rows
+        nb = len(band) - 1
 
         def level(mm):
             je = mm + self._dj_e
@@ -584,10 +588,10 @@ class HarmonicField:
         return out
 
     def band(self):
-        """Values at x_i + m*h for m = 0..band_rows, shape (band_rows+1, nx)."""
+        """Values at x_i + m*h for m = 0..field_rows, shape (field_rows+1, nx)."""
         if self._band is None:
             d = self.domain
-            nb = d.band_rows
+            nb = d.field_rows
             F = np.empty((nb + 1, d.nx))
             F[0] = self.boundary_data
             cols = np.arange(d.nx)
@@ -718,9 +722,8 @@ def harmonic_measure(domain: DiscreteDomain, pole) -> BoundaryMeasure:
     g = lu.solve(e)  # absorbing system is symmetric
     s = B.T @ g
     box = X.T @ g
-    if domain.config.far_field == "halfplane":
-        edges = np.concatenate([domain.xs - domain.h / 2, [domain.xs[-1] + domain.h / 2]])
-        oracle = halfplane.cell_masses(domain.box_slot_points(), edges)
+    oracle = domain.far_field_oracle()
+    if oracle is not None:
         s = s + oracle.T @ box
         box = box * (1.0 - oracle.sum(axis=1))
     side = float(box[: 2 * domain.ny].sum())
@@ -729,19 +732,27 @@ def harmonic_measure(domain: DiscreteDomain, pole) -> BoundaryMeasure:
 
 
 def kernel_measure(domain: DiscreteDomain, pole) -> BoundaryMeasure:
-    """Exit distribution from a pole under the kernel (reflecting) closure."""
+    """Exit distribution from a pole under the kernel closure.
+
+    Within the kernel band it is a band row.  Above it, one transposed solve
+    of the same closure gives the row: the reflecting one, or on ``halfplane``
+    domains the absorbing one with the far-field oracle on its ghost slots.
+    """
     i, j = domain.snap_point(pole)
     if not domain.is_interior(i, j):
         raise ConfigError(f"pole {pole} is on or outside the boundary")
     joff = j - domain.jb[i]
     if joff <= domain.band_rows:
-        band = domain.kernel_table()
-        return BoundaryMeasure(domain, band[joff, i, :].copy())
-    lu, (B, X) = domain._solver("reflect")
+        return BoundaryMeasure(domain, domain.kernel_table()[joff, i, :].copy())
+    lu, (B, X) = domain._solver(domain.kernel_mode)
     e = np.zeros(domain.n_interior)
     e[domain.index(i, j)] = 1.0
     g = lu.solve(e, trans="T")
-    return BoundaryMeasure(domain, B.T @ g)
+    s = B.T @ g
+    oracle = domain.far_field_oracle()
+    if oracle is not None:
+        s = s + oracle.T @ (X.T @ g)
+    return BoundaryMeasure(domain, s)
 
 
 def harmonic_extension(domain: DiscreteDomain, boundary_fn) -> HarmonicField:
@@ -751,10 +762,9 @@ def harmonic_extension(domain: DiscreteDomain, boundary_fn) -> HarmonicField:
         raise ConfigError(f"boundary data must have shape ({domain.nx},)")
     if not np.all(np.isfinite(data)):
         raise ConfigError("boundary data must be finite")
-    if domain.config.far_field == "halfplane":
-        edges = np.concatenate([domain.xs - domain.h / 2, [domain.xs[-1] + domain.h / 2]])
-        box_vals = halfplane.cell_masses(domain.box_slot_points(), edges) @ data
-        values = domain.solve_dirichlet(data, mode="absorb", box_data=box_vals)
+    oracle = domain.far_field_oracle()
+    if oracle is not None:
+        values = domain.solve_dirichlet(data, mode="absorb", box_data=oracle @ data)
         return HarmonicField(domain, data, values, mode="halfplane")
     values = domain.solve_dirichlet(data, mode="reflect")
     return HarmonicField(domain, data, values, mode="reflect")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain_field.grid import DiscreteDomain, HarmonicField
+from .domain_field.grid import DiscreteDomain, HarmonicField, kernel_measure
 from .errors import ConfigError, ResolutionError
 
 
@@ -88,18 +88,11 @@ def identity_kernel(domain: DiscreteDomain) -> BoundaryKernel:
 def martin_kernel(domain: DiscreteDomain, x, node=None):
     """Martin kernel k(x, .): density of the exit measure from x against w.
 
-    ``x`` must be a grid point within the cached kernel band.  Returns the
+    ``x`` snaps to its nearest grid node, whose masses ``kernel_measure``
+    reads (a band row, or one transposed solve above the band).  Returns the
     full row over boundary nodes, or the single entry at ``node``.
     """
-    i, j = domain.snap_point(x)
-    if not domain.is_interior(i, j):
-        raise ConfigError(f"{x} is not an interior point")
-    joff = j - domain.jb[i]
-    if joff > domain.band_rows:
-        raise ResolutionError(
-            f"{x} lies above the cached kernel band; raise band_height"
-        )
-    vals = _mass_to_kernel(domain, domain.kernel_table()[joff, i, :])
+    vals = _mass_to_kernel(domain, kernel_measure(domain, x).s_masses)
     if node is None:
         return vals
     return float(vals[node])

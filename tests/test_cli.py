@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,9 @@ def test_verify_all_passes_on_sawtooth(tmp_path):
     p.write_text(json.dumps(cfg))
     assert main(["--config", str(p), "--out", str(tmp_path / "o"),
                  "verify", "all"]) == 0
+    rep = json.loads(Path(tmp_path / "o", "verify_all.json").read_text())
+    margin = {c["name"]: c["margin"] for c in rep["checks"]}["integrand_nonnegative"]
+    assert math.copysign(1, margin) == 1
 
 
 def test_verify_omega_large_epsilon_fails(tmp_path):
@@ -179,6 +183,21 @@ def test_second_segment_exits_2(tmp_path, capsys):
     p = _write_cfg(tmp_path, segments=[[0.2, 0.4], [0.4, 0.8]])
     assert main(["--config", p, "--out", str(tmp_path / "o"), "verify", "field"]) == 2
     assert "segments" in capsys.readouterr().err
+
+
+def test_segment_above_one_exits_2(tmp_path, capsys):
+    p = _write_cfg(tmp_path, segments=[[0.6, 1.2]])
+    assert main(["--config", p, "--out", str(tmp_path / "o"), "verify", "omega"]) == 2
+    assert "above 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["verify", "variation"], ["probe"]])
+def test_empty_balls_exits_2(tmp_path, capsys, command):
+    p = _write_cfg(tmp_path, balls=[])
+    assert main(["--config", p, "--out", str(tmp_path / "o"), *command]) == 2
+    assert "balls" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_failed_construction_is_a_failed_record(cfg_path, tmp_path, monkeypatch):

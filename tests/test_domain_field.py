@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lipvar.domain_field import (
     DomainConfig,
     LipschitzGraph,
+    arc_indicator,
     build_domain,
     gradient,
     greens_function,
@@ -306,11 +308,110 @@ def test_kernel_band_and_field_band_agree(fixture, y, request):
 
 
 def test_band_readers_share_the_top(flat_small):
+    # one height rule serves both bands; each reader raises past the top of
+    # its own band, and each top is its band's last level
     domain, u = flat_small
+    for band, top, reads in ((domain.kernel_table(), domain.band_rows,
+                              (domain.mass_rows, domain.stencil_rows)),
+                             (u.band(), domain.field_rows, (u.rows, u.grad_rows))):
+        assert len(band) == top + 1
+        for read in reads:
+            with pytest.raises(ResolutionError):
+                read((top + 0.5) * domain.h)
+        assert np.array_equal(reads[0](top * domain.h), band[-1])
+    # the field band reaches past the kernel band's top
     y = (domain.band_rows + 0.5) * domain.h
-    for read in (domain.mass_rows, u.rows, domain.stencil_rows, u.grad_rows):
-        with pytest.raises(ResolutionError):
-            read(y)
-    top = domain.band_rows * domain.h
-    assert np.array_equal(domain.mass_rows(top), domain.kernel_table()[-1])
-    assert np.array_equal(u.rows(top), u.band()[-1])
+    assert domain.field_rows > domain.band_rows
+    assert np.all(np.isfinite(u.rows(y))) and np.all(np.isfinite(u.grad_rows(y)))
+
+
+@pytest.fixture(scope="module")
+def saw_steep():
+    """Sawtooth of slope 2 at h = 0.1: wall nodes under the snapped steps."""
+    graph = LipschitzGraph.sawtooth(amplitude=1.0, n_teeth=2, support_radius=1.0)
+    domain = build_domain(DomainConfig(graph, 5.0, 5.0, 0.1, (0.0, 1.0)))
+    assert np.abs(np.diff(domain.jb)).max() >= 2
+    return domain, harmonic_extension(domain, arc_indicator(domain, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("fixture", ["saw_small", "saw_steep"])
+def test_kernel_band_reaches_one(fixture, request):
+    domain, _ = request.getfixturevalue(fixture)
+    assert domain.mass_rows(1.0).shape == (domain.nx, domain.nx)
+    dx, dy = domain.stencil_rows(1.0)
+    assert np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))
+
+
+def test_kernel_band_memory(kernel_flat):
+    # heights up to 1 plus the stencil's reach: 18.1 MB on this grid
+    domain, _ = kernel_flat
+    assert domain.kernel_table().nbytes <= 25e6
+
+
+@pytest.mark.parametrize("point", [(0.0, 0.5), (0.0, 2.0), (0.7, 4.2)])
+@pytest.mark.parametrize("far_field", ["zero", "halfplane"])
+def test_kernel_measure_is_a_kernel_closure_row(far_field, point):
+    # within the kernel band the masses are a band row, above it one
+    # transposed solve; either way the mass at node j is the value at the
+    # point of the extension of e_j in the same closure
+    domain = build_domain(_flat_cfg(far_field=far_field))
+    m = kernel_measure(domain, point)
+    at = domain.index(*domain.snap_point(point))
+    for j in (0, 37, domain.nx // 2, domain.nx - 1):
+        e = np.zeros(domain.nx)
+        e[j] = 1.0
+        ext = harmonic_extension(domain, e).values[at]
+        assert abs(m.s_masses[j] - ext) <= 1e-14
+
+
+# -- assembly ----------------------------------------------------------------------
+
+
+def _assemble_loop(domain, mode):
+    """The 5-point system built one node at a time: the reference for
+    ``DiscreteDomain._assemble``."""
+    nx, ny, jb = domain.nx, domain.ny, domain.jb
+    rows, cols, vals = [], [], []
+    brows, bcols, bvals = [], [], []
+    xrows, xcols, xvals = [], [], []
+    n_box = 2 * ny + nx
+    reflecting = mode == "reflect"
+    for i in range(nx):
+        ii_w, ii_e = (1, nx - 2) if reflecting else (None, None)
+        for j in range(jb[i] + 1, ny):
+            p = domain.offsets[i] + (j - jb[i] - 1)
+            rows.append(p); cols.append(p); vals.append(4.0)
+            nbrs = ((i - 1, j, 0, j), (i + 1, j, 1, j),
+                    (i, j - 1, None, None), (i, j + 1, 2, i))
+            for (ni, nj, side, slot) in nbrs:
+                if ni < 0 or ni >= nx or nj >= ny:
+                    if reflecting:
+                        mi = ii_w if ni < 0 else (ii_e if ni >= nx else i)
+                        mj = nj if nj < ny else ny - 2
+                        if mj > jb[mi]:
+                            rows.append(p); cols.append(domain.offsets[mi] + (mj - jb[mi] - 1))
+                            vals.append(-1.0)
+                        else:
+                            brows.append(p); bcols.append(mi); bvals.append(1.0)
+                    else:
+                        base = 0 if side == 0 else (ny if side == 1 else 2 * ny)
+                        xrows.append(p); xcols.append(base + slot); xvals.append(1.0)
+                    continue
+                if nj > jb[ni]:
+                    rows.append(p); cols.append(domain.offsets[ni] + (nj - jb[ni] - 1))
+                    vals.append(-1.0)
+                else:
+                    brows.append(p); bcols.append(ni); bvals.append(1.0)
+    n = domain.n_interior
+    return (sp.csr_matrix((vals, (rows, cols)), shape=(n, n)),
+            sp.csr_matrix((bvals, (brows, bcols)), shape=(n, nx)),
+            sp.csr_matrix((xvals, (xrows, xcols)), shape=(n, n_box)))
+
+
+@pytest.mark.parametrize("mode", ["reflect", "absorb"])
+@pytest.mark.parametrize("fixture", ["flat_small", "saw_small", "saw_steep"])
+def test_assembly_matches_node_loop(fixture, mode, request):
+    domain, _ = request.getfixturevalue(fixture)
+    for new, ref in zip(domain._assemble(mode), _assemble_loop(domain, mode)):
+        assert new.shape == ref.shape
+        assert (new != ref).nnz == 0
