@@ -95,16 +95,38 @@ class RunConfig:
         balls = tuple(raw.get("balls", ({"center": (0.0, 0.0), "radius": 0.5},)))
         if not balls:
             raise ConfigError("balls must hold at least one ball")
+        wos = raw.get("wos_samples", 20000)
+        if not _is_number(wos) or wos != int(wos) or wos < 1:
+            raise ConfigError("wos_samples must be an integer >= 1")
         return cls(
             domain=dom,
             epsilon=eps,
-            u_arc=tuple(raw.get("u_arc", (-1.0, 1.0))),
+            u_arc=_numbers(raw, "u_arc", (-1.0, 1.0), "two numbers a < b",
+                           lambda v: len(v) == 2 and v[0] < v[1]),
             segments=((seg.m, seg.M),),
             balls=balls,
-            z1=tuple(raw.get("z1", (0.0, 2.0))),
-            y_sequence=tuple(raw["y_sequence"]) if "y_sequence" in raw else None,
-            wos_samples=int(raw.get("wos_samples", 20000)),
+            z1=_numbers(raw, "z1", (0.0, 2.0), "two numbers", lambda v: len(v) == 2),
+            # the Omega ladder's rule: points in (0, 1]
+            y_sequence=_numbers(raw, "y_sequence", None,
+                                "a non-empty list of numbers in (0, 1]",
+                                lambda v: v and all(0.0 < y <= 1.0 for y in v)),
+            wos_samples=int(wos),
         )
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and bool(np.isfinite(v))
+
+
+def _numbers(raw: dict, key: str, default, what: str, valid) -> tuple | None:
+    """The finite numbers listed under ``key`` that pass ``valid``, as a tuple
+    (``default`` when the key is absent); anything else is a ConfigError."""
+    if key not in raw:
+        return default
+    v = raw[key]
+    if not (isinstance(v, list) and all(map(_is_number, v)) and valid(v)):
+        raise ConfigError(f"{key} must hold {what}")
+    return tuple(float(x) for x in v)
 
 
 def _cache_dir(out: Path, cfg: RunConfig) -> tuple:

@@ -302,33 +302,111 @@ class DiscreteDomain:
         domain's kernel closure, for m = 0..band_rows.  band[0] is the
         identity: the measure from a boundary node is the point mass at that
         node.
+
+        The nx right-hand sides are solved on the boundary strip only: the
+        interior rows up to jt, the higher of the band's top level and the
+        pole's row.  The strip holds every band level, the pole and every
+        graph coupling.  The box above it (every column interior) is
+        eliminated exactly by ``_box_elimination`` into one dense block on
+        the strip's top row.  A box of one row would couple twice into the
+        strip under the mirrored top, so below two rows the strip is the
+        whole grid.
         """
         if self._kernel_band is not None:
             return self._kernel_band
-        lu, (B, X) = self._solver(self.kernel_mode)
-        nb = self.band_rows
-        band = np.empty((nb + 1, self.nx, self.nx))
-        band[0] = np.eye(self.nx)
-        gather = np.empty((nb, self.nx), dtype=np.int64)
-        for m in range(1, nb + 1):
-            gather[m - 1] = self.index(np.arange(self.nx), self.jb + m)
-        oracle = self.far_field_oracle()
         pi, pj = self.snap_point(self.config.pole)
         if not self.is_interior(pi, pj):
             raise ConfigError("pole snapped onto the boundary")
-        pidx = self.index(pi, pj)
-        w = np.empty(self.nx)
-        for lo in range(0, self.nx, _SOLVE_CHUNK):
-            hi = min(lo + _SOLVE_CHUNK, self.nx)
+        nx, nb = self.nx, self.band_rows
+        jt = max(int((self.jb + nb).max()), pj)
+        if self.ny - 1 - jt < 2:
+            jt = self.ny - 1
+        # the strip keeps each column's first jt - jb nodes: its index of a
+        # node is the grid index less its column's shift
+        shift = self.offsets[:-1] - np.concatenate([[0], np.cumsum(jt - self.jb)[:-1]])
+        i = np.repeat(np.arange(nx), self.ny - 1 - self.jb)
+        strip = np.flatnonzero(np.arange(self.n_interior) - self.offsets[i] < jt - self.jb[i])
+        A, B, X = self._assemble(self.kernel_mode)
+        A, B, X = A[strip][:, strip], B[strip], X[strip]
+        cols = np.arange(nx)
+        top = self.index(cols, jt) - shift
+        oracle = self.far_field_oracle()
+        response = None
+        if jt < self.ny - 1:
+            N, response = self._box_elimination(jt, oracle)
+            A = A - sp.csr_matrix((N.ravel(), (np.repeat(top, nx), np.tile(top, nx))),
+                                  shape=A.shape)
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        gather = self.index(cols, self.jb + np.arange(1, nb + 1)[:, None]) - shift
+        pidx = self.index(pi, pj) - shift[pi]
+        band = np.empty((nb + 1, nx, nx))
+        band[0] = np.eye(nx)
+        w = np.empty(nx)
+        for lo in range(0, nx, _SOLVE_CHUNK):
+            hi = min(lo + _SOLVE_CHUNK, nx)
             rhs = B[:, lo:hi].toarray()
             if oracle is not None:
                 rhs += X @ oracle[:, lo:hi]
+                if response is not None:
+                    rhs[top] += response[:, lo:hi]
             sol = lu.solve(rhs)
             band[1:, :, lo:hi] = sol[gather, :]
             w[lo:hi] = sol[pidx, :]
         self._kernel_band = band
         self._weights = w
         return band
+
+    def _box_elimination(self, jt, oracle):
+        """Exact elimination of the box above strip row jt, on the kernel closure.
+
+        The box (rows jt+1 .. ny-1, every column interior, at least two rows)
+        carries the constant-coefficient operator K_x ⊗ I + I ⊗ T_y.  The
+        closed-form modes Q of the side operator K_x (cosines between
+        mirrored sides, sines between absorbing ones; eigenvalues λ_k)
+        diagonalise it, so the block of its inverse on the box's bottom row
+        is N = Q diag(g) Q⁻¹ with g_k = [(T_y + λ_k)⁻¹]₀₀.  g comes from a
+        continued fraction down the box rows: s_r = 1 / (2 + λ_k − t_{r+1}),
+        where the top ratio t is 2/(2 + λ_k) under a mirrored top and
+        1/(2 + λ_k) under an absorbing one.  The strip's top row then sees
+        the box as −N.
+
+        Returns ``(N, response)``.  Given the far-field oracle of a
+        ``halfplane`` domain, ``response`` (nx, nx) is the box's bottom-row
+        solution for the ghost data of each boundary node, which the strip's
+        top row takes on its right-hand side; without one it is None.
+        """
+        nx, rows = self.nx, self.ny - 1 - jt
+        k = np.arange(nx)
+        if self.kernel_mode == "reflect":
+            M = nx - 1
+            Q = np.cos(np.pi * np.outer(k, k) / M)
+            ends = np.where((k == 0) | (k == M), 0.5, 1.0)
+            Qinv = (2.0 / M) * ends[:, None] * Q * ends
+            lam = 2.0 - 2.0 * np.cos(np.pi * k / M)
+            mirror = 2.0
+        else:
+            Q = np.sin(np.pi * np.outer(k + 1, k + 1) / (nx + 1))
+            Qinv = (2.0 / (nx + 1)) * Q
+            lam = 2.0 - 2.0 * np.cos(np.pi * (k + 1) / (nx + 1))
+            mirror = 1.0
+        d = 2.0 + lam
+        s = np.empty((rows, nx))  # s[r] = [(T_y + λ)⁻¹ on rows r..top]₀₀
+        s[-1] = 1.0 / d
+        t = mirror * s[-1]
+        for r in range(rows - 2, -1, -1):
+            s[r] = t = 1.0 / (d - t)
+        N = (Q * s[0]) @ Qinv
+        if oracle is None:
+            return N, None
+        # Green's entries H[k, r] = [(T_y + λ_k)⁻¹]_{0r} from the bottom row;
+        # T_y is symmetric under the absorbing top, so they are the first
+        # column, x_0 = s_0 and x_r = s_r x_{r-1}
+        H = np.cumprod(s, axis=0).T
+        ny = self.ny
+        left, right, head = oracle[jt + 1:ny], oracle[ny + jt + 1:2 * ny], oracle[2 * ny:]
+        modal = (Qinv[:, :1] * (H @ left) + Qinv[:, -1:] * (H @ right)
+                 + H[:, -1:] * (Qinv @ head))
+        return N, Q @ modal
 
     @property
     def hm_weights(self):
@@ -594,9 +672,7 @@ class HarmonicField:
             nb = d.field_rows
             F = np.empty((nb + 1, d.nx))
             F[0] = self.boundary_data
-            cols = np.arange(d.nx)
-            for m in range(1, nb + 1):
-                F[m] = self.values[d.index(cols, d.jb + m)]
+            F[1:] = self.values[d.index(np.arange(d.nx), d.jb + np.arange(1, nb + 1)[:, None])]
             self._band = F
         return self._band
 

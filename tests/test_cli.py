@@ -200,6 +200,19 @@ def test_empty_balls_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("u_arc", [1.0, -1.0]),          # u = 0: verify field passed
+    ("z1", "ab"),                    # verify variation ended in a TypeError
+    ("wos_samples", 0),              # verify field failed with margin inf
+    ("y_sequence", [2.0]),           # three margins of inf
+])
+def test_bad_run_value_exits_2(tmp_path, capsys, key, value):
+    p = _write_cfg(tmp_path, **{key: value})
+    assert main(["--config", p, "--out", str(tmp_path / "o"), "verify", "all"]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_failed_construction_is_a_failed_record(cfg_path, tmp_path, monkeypatch):
     from lipvar import checks
     from lipvar.errors import ConvergenceError

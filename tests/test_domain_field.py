@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from lipvar.domain_field import (
     DomainConfig,
@@ -362,6 +363,100 @@ def test_kernel_measure_is_a_kernel_closure_row(far_field, point):
         e[j] = 1.0
         ext = harmonic_extension(domain, e).values[at]
         assert abs(m.s_masses[j] - ext) <= 1e-14
+
+
+# -- kernel band on the boundary strip -------------------------------------------
+
+
+def _band_full_solve(domain):
+    """The band and pole masses from nx solves of the whole kernel closure:
+    the reference for the strip solve of ``DiscreteDomain.kernel_table``."""
+    lu, (B, X) = domain._solver(domain.kernel_mode)
+    nx = domain.nx
+    band = np.empty((domain.band_rows + 1, nx, nx))
+    band[0] = np.eye(nx)
+    gather = np.array([domain.index(np.arange(nx), domain.jb + m)
+                       for m in range(1, domain.band_rows + 1)])
+    pidx = domain.index(*domain.snap_point(domain.config.pole))
+    rhs = B.toarray()
+    oracle = domain.far_field_oracle()
+    if oracle is not None:
+        rhs += X @ oracle
+    sol = lu.solve(rhs)
+    band[1:] = sol[gather, :]
+    return band, sol[pidx, :]
+
+
+def _box_rows(domain):
+    """Rows of the box above the band's top level (pole at or below it)."""
+    return domain.ny - 1 - int((domain.jb + domain.band_rows).max())
+
+
+_STRIP_GRIDS = {
+    "halfplane": _flat_cfg(far_field="halfplane"),
+    # the box above the band's top level has 0, 1 and 2 rows; a 1-row box
+    # would couple twice into the strip under the mirrored top
+    "box0": _flat_cfg(box_height=1.1),
+    "box1": _flat_cfg(box_height=1.2),
+    "box2": _flat_cfg(box_height=1.3),
+    "box2_halfplane": _flat_cfg(box_height=1.3, far_field="halfplane"),
+    # the pole sits above the band's top level, so it sets the strip's top
+    "pole_above_band": _flat_cfg(pole=(0.0, 1.5)),
+    "pole_above_band_halfplane": _flat_cfg(pole=(0.0, 1.5), far_field="halfplane"),
+}
+
+
+def _strip_grid(name, request):
+    if name in _STRIP_GRIDS:
+        return build_domain(_STRIP_GRIDS[name])
+    return request.getfixturevalue(name)[0]
+
+
+@pytest.mark.parametrize("name", ["flat_small", "saw_small", "saw_steep", *_STRIP_GRIDS])
+def test_strip_band_matches_full_solve(name, request):
+    domain = _strip_grid(name, request)
+    band, w = _band_full_solve(domain)
+    assert np.abs(domain.kernel_table() - band).max() <= 1e-14
+    assert np.abs(domain.hm_weights - w).max() <= 1e-14
+
+
+def test_strip_grids_cover_the_box_cases():
+    rows = {name: _box_rows(build_domain(cfg)) for name, cfg in _STRIP_GRIDS.items()}
+    assert (rows["box0"], rows["box1"], rows["box2"], rows["box2_halfplane"]) == (0, 1, 2, 2)
+    domain = build_domain(_STRIP_GRIDS["pole_above_band"])
+    pole_row = domain.snap_point(domain.config.pole)[1]
+    assert pole_row > int((domain.jb + domain.band_rows).max())
+
+
+def test_kernel_table_needs_no_full_factorization():
+    domain = build_domain(_flat_cfg())
+    domain.kernel_table()
+    assert domain._lu == {}
+
+
+@pytest.mark.parametrize("far_field", ["zero", "halfplane"])
+def test_box_elimination_is_the_box_inverse(far_field):
+    # N is the bottom-row block of the box's inverse; on halfplane domains
+    # the response is the box's bottom row under the far-field ghost data
+    domain = build_domain(_flat_cfg(box_halfwidth=3.0, box_height=2.0,
+                                    far_field=far_field))
+    jt = domain.ny - 8
+    A, _, X = domain._assemble(domain.kernel_mode)
+    cols = np.arange(domain.nx)
+    box = domain.index(np.repeat(cols, domain.ny - 1 - jt),
+                       np.tile(np.arange(jt + 1, domain.ny), domain.nx))
+    bottom = np.flatnonzero(np.isin(box, domain.index(cols, jt + 1)))
+    lu = spla.splu(A[box][:, box].tocsc())
+    oracle = domain.far_field_oracle()
+    N, response = domain._box_elimination(jt, oracle)
+    E = np.zeros((len(box), domain.nx))
+    E[bottom, cols] = 1.0
+    assert np.abs(N - lu.solve(E)[bottom]).max() <= 1e-14
+    if oracle is None:
+        assert response is None
+    else:
+        ref = lu.solve((X[box] @ oracle))[bottom]
+        assert np.abs(response - ref).max() <= 1e-14
 
 
 # -- assembly ----------------------------------------------------------------------
