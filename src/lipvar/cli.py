@@ -98,11 +98,15 @@ class RunConfig:
         wos = raw.get("wos_samples", 20000)
         if not _is_number(wos) or wos != int(wos) or wos < 1:
             raise ConfigError("wos_samples must be an integer >= 1")
+        # the arc must overlap the boundary mesh's cells, or u = 0
+        edge = dom.box_halfwidth + dom.grid_spacing / 2
+        u_arc = _numbers(raw, "u_arc", (-1.0, 1.0),
+                         f"two numbers a < b with b > {-edge} and a < {edge}",
+                         lambda v: len(v) == 2 and v[0] < v[1] and v[1] > -edge and v[0] < edge)
         return cls(
             domain=dom,
             epsilon=eps,
-            u_arc=_numbers(raw, "u_arc", (-1.0, 1.0), "two numbers a < b",
-                           lambda v: len(v) == 2 and v[0] < v[1]),
+            u_arc=u_arc,
             segments=((seg.m, seg.M),),
             balls=balls,
             z1=_numbers(raw, "z1", (0.0, 2.0), "two numbers", lambda v: len(v) == 2),

@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import splu
 
 from ..errors import ConfigError, ConvergenceError, ResolutionError
 from . import halfplane
@@ -65,20 +65,38 @@ class DomainConfig:
         unknown = sorted(set(d) - known)
         if unknown:
             raise ConfigError(f"unknown domain config key(s): {', '.join(unknown)}")
+
+        def number(key, value, kind=float):
+            try:
+                x = kind(value)
+            except (TypeError, ValueError, OverflowError):
+                x = np.nan
+            if not np.isfinite(x):
+                raise ConfigError(f"domain {key} must be a finite number, not {value!r}")
+            return x
+
+        def pair(key, value):
+            if not (isinstance(value, (list, tuple)) and len(value) == 2):
+                raise ConfigError(f"domain {key} must be two finite numbers, not {value!r}")
+            return tuple(number(key, v) for v in value)
+
+        breakpoints = d.get("phi_breakpoints", ())
+        if not isinstance(breakpoints, (list, tuple)):
+            raise ConfigError(f"domain phi_breakpoints must be a list, not {breakpoints!r}")
         graph = LipschitzGraph(
-            tuple(tuple(p) for p in d.get("phi_breakpoints", ())),
-            float(d.get("support_radius", 1.0)),
+            tuple(pair("phi_breakpoints", p) for p in breakpoints),
+            number("support_radius", d.get("support_radius", 1.0)),
         )
         return cls(
             graph=graph,
-            box_halfwidth=float(d["box_halfwidth"]),
-            box_height=float(d["box_height"]),
-            grid_spacing=float(d["grid_spacing"]),
-            pole=tuple(float(v) for v in d.get("pole", (0.0, 1.0))),
-            wos_seed=int(d.get("wos_seed", 0)),
+            box_halfwidth=number("box_halfwidth", d["box_halfwidth"]),
+            box_height=number("box_height", d["box_height"]),
+            grid_spacing=number("grid_spacing", d["grid_spacing"]),
+            pole=pair("pole", d.get("pole", (0.0, 1.0))),
+            wos_seed=number("wos_seed", d.get("wos_seed", 0), int),
             far_field=str(d.get("far_field", "zero")),
-            graph_offset=float(d.get("graph_offset", 0.0)),
-            band_height=float(d.get("band_height", 3.2)),
+            graph_offset=number("graph_offset", d.get("graph_offset", 0.0)),
+            band_height=number("band_height", d.get("band_height", 3.2)),
         )
 
     def to_dict(self) -> dict:
@@ -142,9 +160,16 @@ class DiscreteDomain:
         self.band_rows = min(int(np.ceil(1.0 / h - 1e-9)) + reach, head)
         self.field_rows = min(int(round(config.band_height / h)), head)
         self.kernel_mode = "reflect" if config.far_field == "zero" else "absorb"
+        # Top row jt of the boundary strip, the part of the grid each closure
+        # factors: it holds every kernel band level, the pole and every graph
+        # coupling.  The box above it is solved in closed form
+        # (``_StripSolver``).  A box of one row would couple twice into the
+        # strip under the mirrored top, so below two rows the strip is the
+        # whole grid.
+        jt = max(int((self.jb + self.band_rows).max()), self.snap_point(config.pole)[1])
+        self.strip_top = jt if self.ny - 1 - jt >= 2 else self.ny - 1
 
-        self._lu = {}
-        self._coupling = {}
+        self._strips = {}
         self._kernel_band = None
         self._weights = None
         self._eig = None
@@ -159,6 +184,8 @@ class DiscreteDomain:
         W, H, h = cfg.box_halfwidth, cfg.box_height, self.h
         if h <= 0:
             raise ConfigError("grid_spacing must be positive")
+        if cfg.band_height <= 0:
+            raise ConfigError("band_height must be positive")
         if W < self.graph.support_radius + 2.0 - 1e-12:
             raise ConfigError(
                 "box too small: halfwidth must exceed the profile support by >= 2"
@@ -258,14 +285,11 @@ class DiscreteDomain:
         X = sp.csr_matrix((np.ones(len(xrows)), (xrows, cat(xcols))), shape=(n, n_box))
         return A, B, X
 
-    def _solver(self, mode):
-        if mode not in self._lu:
-            A, B, X = self._assemble(mode)
-            # minimum-degree ordering on A^T + A: about half the fill of the
-            # default COLAMD on these grids
-            self._lu[mode] = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            self._coupling[mode] = (B, X)
-        return self._lu[mode], self._coupling[mode]
+    def _strip_solver(self, mode):
+        """The closure's one factorization, built by the first solve that needs it."""
+        if mode not in self._strips:
+            self._strips[mode] = _StripSolver(self, mode)
+        return self._strips[mode]
 
     def box_slot_points(self):
         """Physical coordinates of the ghost slots (left, right, top)."""
@@ -278,11 +302,11 @@ class DiscreteDomain:
 
     def solve_dirichlet(self, s_data, mode="reflect", box_data=None):
         """Interior values for boundary data on the graph mesh."""
-        lu, (B, X) = self._solver(mode)
-        rhs = B @ np.asarray(s_data, dtype=float)
+        c = self._strip_solver(mode)
+        rhs = c.B @ np.asarray(s_data, dtype=float)
         if box_data is not None:
-            rhs = rhs + X @ np.asarray(box_data, dtype=float)
-        return lu.solve(rhs)
+            rhs = rhs + c.X @ np.asarray(box_data, dtype=float)
+        return c.solve(rhs)
 
     # -- kernel table --------------------------------------------------------------
 
@@ -303,14 +327,9 @@ class DiscreteDomain:
         identity: the measure from a boundary node is the point mass at that
         node.
 
-        The nx right-hand sides are solved on the boundary strip only: the
-        interior rows up to jt, the higher of the band's top level and the
-        pole's row.  The strip holds every band level, the pole and every
-        graph coupling.  The box above it (every column interior) is
-        eliminated exactly by ``_box_elimination`` into one dense block on
-        the strip's top row.  A box of one row would couple twice into the
-        strip under the mirrored top, so below two rows the strip is the
-        whole grid.
+        The nx right-hand sides are solved on the boundary strip alone, in
+        chunks of columns; the strip holds every band level and the pole, so
+        the box above it is never rebuilt.
         """
         if self._kernel_band is not None:
             return self._kernel_band
@@ -318,95 +337,28 @@ class DiscreteDomain:
         if not self.is_interior(pi, pj):
             raise ConfigError("pole snapped onto the boundary")
         nx, nb = self.nx, self.band_rows
-        jt = max(int((self.jb + nb).max()), pj)
-        if self.ny - 1 - jt < 2:
-            jt = self.ny - 1
-        # the strip keeps each column's first jt - jb nodes: its index of a
-        # node is the grid index less its column's shift
-        shift = self.offsets[:-1] - np.concatenate([[0], np.cumsum(jt - self.jb)[:-1]])
-        i = np.repeat(np.arange(nx), self.ny - 1 - self.jb)
-        strip = np.flatnonzero(np.arange(self.n_interior) - self.offsets[i] < jt - self.jb[i])
-        A, B, X = self._assemble(self.kernel_mode)
-        A, B, X = A[strip][:, strip], B[strip], X[strip]
-        cols = np.arange(nx)
-        top = self.index(cols, jt) - shift
+        c = self._strip_solver(self.kernel_mode)
+        B = c.B[c.strip]  # B vanishes on the box
         oracle = self.far_field_oracle()
-        response = None
-        if jt < self.ny - 1:
-            N, response = self._box_elimination(jt, oracle)
-            A = A - sp.csr_matrix((N.ravel(), (np.repeat(top, nx), np.tile(top, nx))),
-                                  shape=A.shape)
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        gather = self.index(cols, self.jb + np.arange(1, nb + 1)[:, None]) - shift
-        pidx = self.index(pi, pj) - shift[pi]
+        gather = c.local(np.arange(nx), self.jb + np.arange(1, nb + 1)[:, None])
+        pidx = c.local(pi, pj)
         band = np.empty((nb + 1, nx, nx))
         band[0] = np.eye(nx)
         w = np.empty(nx)
         for lo in range(0, nx, _SOLVE_CHUNK):
             hi = min(lo + _SOLVE_CHUNK, nx)
             rhs = B[:, lo:hi].toarray()
+            modes = None
             if oracle is not None:
-                rhs += X @ oracle[:, lo:hi]
-                if response is not None:
-                    rhs[top] += response[:, lo:hi]
-            sol = lu.solve(rhs)
+                ghost = c.X @ oracle[:, lo:hi]
+                rhs += ghost[c.strip]
+                modes = c.box_modes(ghost[c.box])
+            sol = c.solve_strip(rhs, modes)
             band[1:, :, lo:hi] = sol[gather, :]
             w[lo:hi] = sol[pidx, :]
         self._kernel_band = band
         self._weights = w
         return band
-
-    def _box_elimination(self, jt, oracle):
-        """Exact elimination of the box above strip row jt, on the kernel closure.
-
-        The box (rows jt+1 .. ny-1, every column interior, at least two rows)
-        carries the constant-coefficient operator K_x ⊗ I + I ⊗ T_y.  The
-        closed-form modes Q of the side operator K_x (cosines between
-        mirrored sides, sines between absorbing ones; eigenvalues λ_k)
-        diagonalise it, so the block of its inverse on the box's bottom row
-        is N = Q diag(g) Q⁻¹ with g_k = [(T_y + λ_k)⁻¹]₀₀.  g comes from a
-        continued fraction down the box rows: s_r = 1 / (2 + λ_k − t_{r+1}),
-        where the top ratio t is 2/(2 + λ_k) under a mirrored top and
-        1/(2 + λ_k) under an absorbing one.  The strip's top row then sees
-        the box as −N.
-
-        Returns ``(N, response)``.  Given the far-field oracle of a
-        ``halfplane`` domain, ``response`` (nx, nx) is the box's bottom-row
-        solution for the ghost data of each boundary node, which the strip's
-        top row takes on its right-hand side; without one it is None.
-        """
-        nx, rows = self.nx, self.ny - 1 - jt
-        k = np.arange(nx)
-        if self.kernel_mode == "reflect":
-            M = nx - 1
-            Q = np.cos(np.pi * np.outer(k, k) / M)
-            ends = np.where((k == 0) | (k == M), 0.5, 1.0)
-            Qinv = (2.0 / M) * ends[:, None] * Q * ends
-            lam = 2.0 - 2.0 * np.cos(np.pi * k / M)
-            mirror = 2.0
-        else:
-            Q = np.sin(np.pi * np.outer(k + 1, k + 1) / (nx + 1))
-            Qinv = (2.0 / (nx + 1)) * Q
-            lam = 2.0 - 2.0 * np.cos(np.pi * (k + 1) / (nx + 1))
-            mirror = 1.0
-        d = 2.0 + lam
-        s = np.empty((rows, nx))  # s[r] = [(T_y + λ)⁻¹ on rows r..top]₀₀
-        s[-1] = 1.0 / d
-        t = mirror * s[-1]
-        for r in range(rows - 2, -1, -1):
-            s[r] = t = 1.0 / (d - t)
-        N = (Q * s[0]) @ Qinv
-        if oracle is None:
-            return N, None
-        # Green's entries H[k, r] = [(T_y + λ_k)⁻¹]_{0r} from the bottom row;
-        # T_y is symmetric under the absorbing top, so they are the first
-        # column, x_0 = s_0 and x_r = s_r x_{r-1}
-        H = np.cumprod(s, axis=0).T
-        ny = self.ny
-        left, right, head = oracle[jt + 1:ny], oracle[ny + jt + 1:2 * ny], oracle[2 * ny:]
-        modal = (Qinv[:, :1] * (H @ left) + Qinv[:, -1:] * (H @ right)
-                 + H[:, -1:] * (Qinv @ head))
-        return N, Q @ modal
 
     @property
     def hm_weights(self):
@@ -638,6 +590,140 @@ class DiscreteDomain:
         return self._fractions
 
 
+class _StripSolver:
+    """One factorization of a closure's system A x = f serves every solve.
+
+    A solve is exact block elimination at the strip's top row jt
+    (``DiscreteDomain.strip_top``).  The box above it (rows jt+1 .. ny-1,
+    every column interior, none or at least two rows) carries the
+    constant-coefficient operator K_x ⊗ I + I ⊗ T_y.  The closed-form modes
+    Q of the side operator K_x (cosines between mirrored sides, sines
+    between absorbing ones; eigenvalues λ_k) diagonalise it, and each mode's
+    tridiagonal T_y + λ_k is eliminated from the box top down with pivots
+    s_r = 1 / (2 + λ_k − t_{r+1}); the top ratio t is 2/(2 + λ_k) under a
+    mirrored top and 1/(2 + λ_k) under an absorbing one.  The strip's top
+    row sees the box as −N, where N = Q diag(s_0) Q⁻¹ is the box's solve of
+    unit bottom-row data, so the strip system A_SS − E N Eᵀ takes the one
+    sparse LU.  A solve then
+
+    1. solves the box part of f (skipped when it is zero) and adds its
+       bottom row to the strip top row's right-hand side;
+    2. solves the strip;
+    3. rebuilds the box: the step-1 values plus the modal propagation of the
+       strip's top row.
+
+    Transposed solves take the strip LU's transpose and the same box solve
+    with Q⁻ᵀ and Qᵀ in the places of Q and Q⁻¹.  Under the scaling of its
+    mirrored rows and columns the box is similar to its transpose; on T_y
+    that scaling weights the top row by the mirror factor.
+    """
+
+    def __init__(self, domain, mode):
+        A, self.B, self.X = domain._assemble(mode)
+        nx, ny, jb, jt = domain.nx, domain.ny, domain.jb, domain.strip_top
+        self.rows = ny - 1 - jt
+        # each column keeps its first jt - jb nodes in the strip
+        self._base = domain.offsets[:-1] - jb - 1 - self.rows * np.arange(nx)
+        i = np.repeat(np.arange(nx), ny - 1 - jb)
+        in_box = np.arange(domain.n_interior) - domain.offsets[i] >= jt - jb[i]
+        self.strip, self.box = np.flatnonzero(~in_box), np.flatnonzero(in_box)
+        self.top = self.local(np.arange(nx), jt)
+        A = A[self.strip][:, self.strip]
+        if self.rows:
+            self._modes(nx, mode)
+            N = (self.Q * self.s[:, 0]) @ self.Qinv
+            top = self.top
+            A = A - sp.csr_matrix((N.ravel(), (np.repeat(top, nx), np.tile(top, nx))),
+                                  shape=A.shape)
+        # minimum-degree ordering on A^T + A: about half the fill of the
+        # default COLAMD on these grids
+        self.lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+    def _modes(self, nx, mode):
+        k = np.arange(nx)
+        if mode == "reflect":
+            M = nx - 1
+            self.Q = np.cos(np.pi * np.outer(k, k) / M)
+            ends = np.where((k == 0) | (k == M), 0.5, 1.0)
+            self.Qinv = (2.0 / M) * ends[:, None] * self.Q * ends
+            lam = 2.0 - 2.0 * np.cos(np.pi * k / M)
+            self.mirror = 2.0
+        else:
+            self.Q = np.sin(np.pi * np.outer(k + 1, k + 1) / (nx + 1))
+            self.Qinv = (2.0 / (nx + 1)) * self.Q
+            lam = 2.0 - 2.0 * np.cos(np.pi * (k + 1) / (nx + 1))
+            self.mirror = 1.0
+        d = 2.0 + lam
+        s = np.empty((nx, self.rows))  # s[:, r] = [(T_y + λ)⁻¹ on rows r..top]₀₀
+        s[:, -1] = 1.0 / d
+        t = self.mirror * s[:, -1]
+        for r in range(self.rows - 2, -1, -1):
+            s[:, r] = t = 1.0 / (d - t)
+        self.s = s
+        # Row 0 of (T_y + λ)⁻¹ is cumprod(s): the bottom row's response to
+        # data on row r.  Its column 0 carries the mirror factor on the top
+        # row: the modal propagation of the strip's top row, x_0 = s_0 v and
+        # x_r = s_r x_{r-1}.
+        self.bottom = np.cumprod(s, axis=1)
+        self.lift = self.bottom.copy()
+        self.lift[:, -1] *= self.mirror
+
+    def local(self, i, j):
+        """Strip index of grid node (column i, row j <= jt); vectorized."""
+        return self._base[i] + j
+
+    def box_modes(self, fb, trans=False):
+        """Modes (nx, rows, m) of the box part fb (box nodes, m) of a
+        right-hand side, or None when fb is zero."""
+        if not fb.any():
+            return None
+        nx = len(self.s)
+        g = ((self.Q.T if trans else self.Qinv) @ fb.reshape(nx, -1)).reshape(nx, self.rows, -1)
+        if trans:
+            g[:, -1] *= self.mirror
+        return g
+
+    def _nodal(self, x, trans):
+        """Nodal values of box modes x (nx, rows', m), in box order."""
+        m = x.shape[-1]
+        return ((self.Qinv.T if trans else self.Q) @ x.reshape(len(x), -1)).reshape(-1, m)
+
+    def solve_strip(self, fs, modes=None, trans=False):
+        """Strip values (strip nodes, m) for the strip part fs of a
+        right-hand side and the ``box_modes`` of its box part."""
+        if modes is not None:
+            fs[self.top] += self._nodal(np.einsum("kr,krm->km", self.bottom, modes)[:, None], trans)
+        return self.lu.solve(fs, trans="T" if trans else "N")
+
+    def box_values(self, modes, v, trans=False):
+        """Box values (box nodes, m) for the ``box_modes`` of a right-hand
+        side (None: zero) and strip top-row values v (nx, m)."""
+        x = self.lift[:, :, None] * ((self.Q.T if trans else self.Qinv) @ v)[:, None]
+        if modes is not None:
+            # eliminate from the box top down, then substitute upwards
+            g = modes.copy()
+            for r in range(self.rows - 2, -1, -1):
+                g[:, r] += self.s[:, r + 1, None] * g[:, r + 1]
+            y = 0.0
+            for r in range(self.rows):
+                c = self.mirror if r == self.rows - 1 else 1.0
+                y = self.s[:, r, None] * (g[:, r] + c * y)
+                x[:, r] += y
+        if trans:
+            x[:, -1] /= self.mirror
+        return self._nodal(x, trans)
+
+    def solve(self, f, trans=False):
+        """x with A x = f, or Aᵀ x = f when ``trans``; f is (n,) or (n, m)."""
+        f2 = np.asarray(f, dtype=float).reshape(len(f), -1)
+        modes = self.box_modes(f2[self.box], trans)
+        x = np.empty_like(f2)
+        x[self.strip] = xs = self.solve_strip(f2[self.strip], modes, trans)
+        if self.rows:
+            x[self.box] = self.box_values(modes, xs[self.top], trans)
+        return x.reshape(np.shape(f))
+
+
 # ---------------------------------------------------------------------------
 # fields and measures
 # ---------------------------------------------------------------------------
@@ -792,12 +878,12 @@ def harmonic_measure(domain: DiscreteDomain, pole) -> BoundaryMeasure:
     i, j = domain.snap_point(pole)
     if not domain.is_interior(i, j):
         raise ConfigError(f"pole {pole} is on or outside the boundary")
-    lu, (B, X) = domain._solver("absorb")
+    c = domain._strip_solver("absorb")
     e = np.zeros(domain.n_interior)
     e[domain.index(i, j)] = 1.0
-    g = lu.solve(e)  # absorbing system is symmetric
-    s = B.T @ g
-    box = X.T @ g
+    g = c.solve(e)  # absorbing system is symmetric
+    s = c.B.T @ g
+    box = c.X.T @ g
     oracle = domain.far_field_oracle()
     if oracle is not None:
         s = s + oracle.T @ box
@@ -820,14 +906,14 @@ def kernel_measure(domain: DiscreteDomain, pole) -> BoundaryMeasure:
     joff = j - domain.jb[i]
     if joff <= domain.band_rows:
         return BoundaryMeasure(domain, domain.kernel_table()[joff, i, :].copy())
-    lu, (B, X) = domain._solver(domain.kernel_mode)
+    c = domain._strip_solver(domain.kernel_mode)
     e = np.zeros(domain.n_interior)
     e[domain.index(i, j)] = 1.0
-    g = lu.solve(e, trans="T")
-    s = B.T @ g
+    g = c.solve(e, trans=True)
+    s = c.B.T @ g
     oracle = domain.far_field_oracle()
     if oracle is not None:
-        s = s + oracle.T @ (X.T @ g)
+        s = s + oracle.T @ (c.X.T @ g)
     return BoundaryMeasure(domain, s)
 
 
@@ -863,10 +949,9 @@ def greens_function(domain: DiscreteDomain, source) -> HarmonicField:
     i, j = domain.snap_point(source)
     if not domain.is_interior(i, j):
         raise ConfigError(f"source {source} is not an interior point")
-    lu, _ = domain._solver("absorb")
     e = np.zeros(domain.n_interior)
     e[domain.index(i, j)] = 1.0
-    g = lu.solve(e)
+    g = domain._strip_solver("absorb").solve(e)
     return HarmonicField(domain, np.zeros(domain.nx), g, mode="absorb")
 
 

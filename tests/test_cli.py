@@ -205,10 +205,25 @@ def test_empty_balls_exits_2(tmp_path, capsys, command):
     ("z1", "ab"),                    # verify variation ended in a TypeError
     ("wos_samples", 0),              # verify field failed with margin inf
     ("y_sequence", [2.0]),           # three margins of inf
+    ("u_arc", [6.0, 7.0]),           # off the mesh: u = 0, verify field passed
 ])
 def test_bad_run_value_exits_2(tmp_path, capsys, key, value):
     p = _write_cfg(tmp_path, **{key: value})
     assert main(["--config", p, "--out", str(tmp_path / "o"), "verify", "all"]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("wos_seed", "x"),               # each of these ended in a ValueError
+    ("box_height", "abc"),
+    ("pole", [0.0]),
+    ("band_height", -1.0),           # verify field passed, verify variation crashed
+    ("phi_breakpoints", [[0.0]]),    # a ValueError
+])
+def test_bad_domain_value_exits_2(tmp_path, capsys, key, value):
+    p = _write_cfg(tmp_path, domain=dict(CFG["domain"], **{key: value}))
+    assert main(["--config", p, "--out", str(tmp_path / "o"), "verify", "field"]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 

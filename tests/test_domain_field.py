@@ -368,10 +368,17 @@ def test_kernel_measure_is_a_kernel_closure_row(far_field, point):
 # -- kernel band on the boundary strip -------------------------------------------
 
 
+def _full_lu(domain, mode):
+    """The whole-grid LU of one closure, as every solve factored it before the
+    strip solver: the reference for ``_StripSolver``."""
+    A, B, X = domain._assemble(mode)
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A"), B, X
+
+
 def _band_full_solve(domain):
     """The band and pole masses from nx solves of the whole kernel closure:
     the reference for the strip solve of ``DiscreteDomain.kernel_table``."""
-    lu, (B, X) = domain._solver(domain.kernel_mode)
+    lu, B, X = _full_lu(domain, domain.kernel_mode)
     nx = domain.nx
     band = np.empty((domain.band_rows + 1, nx, nx))
     band[0] = np.eye(nx)
@@ -428,35 +435,106 @@ def test_strip_grids_cover_the_box_cases():
     assert pole_row > int((domain.jb + domain.band_rows).max())
 
 
-def test_kernel_table_needs_no_full_factorization():
-    domain = build_domain(_flat_cfg())
-    domain.kernel_table()
-    assert domain._lu == {}
+def _box_point(domain):
+    """A grid point in the box above the strip (the top row on a 0-row box)."""
+    return domain.xs[domain.nx // 3], (domain.j0 + domain.ny - 1) * domain.h
+
+
+@pytest.mark.parametrize("name", ["flat_small", "saw_small", "saw_steep", *_STRIP_GRIDS])
+def test_every_solve_matches_full_solve(name, request):
+    domain = _strip_grid(name, request)
+    oracle = domain.far_field_oracle()
+    tol = 1e-13
+    data = np.cos(domain.xs) + 0.1 * domain.xs
+    full = {mode: _full_lu(domain, mode) for mode in ("reflect", "absorb")}
+    # Dirichlet solves of both closures, with the far-field box data on the
+    # absorbing closure of halfplane domains
+    for mode, (lu, B, X) in full.items():
+        box_data = oracle @ data if mode == "absorb" and oracle is not None else None
+        rhs = B @ data + (X @ box_data if box_data is not None else 0.0)
+        assert np.abs(domain.solve_dirichlet(data, mode, box_data)
+                      - lu.solve(rhs)).max() <= tol
+    lu, B, X = full[domain.kernel_mode]
+    rhs = B @ data + (X @ (oracle @ data) if oracle is not None else 0.0)
+    assert np.abs(harmonic_extension(domain, data).values - lu.solve(rhs)).max() <= tol
+    # harmonic measure and Green's function: a source in the strip and one in
+    # the box
+    lu, B, X = full["absorb"]
+    for point in (domain.config.pole, _box_point(domain)):
+        e = np.zeros(domain.n_interior)
+        e[domain.index(*domain.snap_point(point))] = 1.0
+        g = lu.solve(e)
+        assert np.abs(greens_function(domain, point).values - g).max() <= tol
+        s, box = B.T @ g, X.T @ g
+        if oracle is not None:
+            s = s + oracle.T @ box
+            box = box * (1.0 - oracle.sum(axis=1))
+        m = harmonic_measure(domain, point)
+        assert np.abs(m.s_masses - s).max() <= tol
+        assert abs(m.box_side_mass - box[:2 * domain.ny].sum()) <= tol
+        assert abs(m.box_top_mass - box[2 * domain.ny:].sum()) <= tol
+    # kernel measure from above the band: the transposed solve
+    lu, B, X = full[domain.kernel_mode]
+    point = _box_point(domain)
+    e = np.zeros(domain.n_interior)
+    e[domain.index(*domain.snap_point(point))] = 1.0
+    g = lu.solve(e, trans="T")
+    s = B.T @ g + (oracle.T @ (X.T @ g) if oracle is not None else 0.0)
+    assert np.abs(kernel_measure(domain, point).s_masses - s).max() <= tol
 
 
 @pytest.mark.parametrize("far_field", ["zero", "halfplane"])
 def test_box_elimination_is_the_box_inverse(far_field):
-    # N is the bottom-row block of the box's inverse; on halfplane domains
-    # the response is the box's bottom row under the far-field ghost data
+    # the box solve, plain and transposed, against a sparse LU of the box
+    # block with the strip's top row as bottom-row data; on halfplane
+    # domains the box data are the far-field ghost data
     domain = build_domain(_flat_cfg(box_halfwidth=3.0, box_height=2.0,
                                     far_field=far_field))
-    jt = domain.ny - 8
+    c = domain._strip_solver(domain.kernel_mode)
+    assert c.rows >= 2
     A, _, X = domain._assemble(domain.kernel_mode)
-    cols = np.arange(domain.nx)
-    box = domain.index(np.repeat(cols, domain.ny - 1 - jt),
-                       np.tile(np.arange(jt + 1, domain.ny), domain.nx))
-    bottom = np.flatnonzero(np.isin(box, domain.index(cols, jt + 1)))
+    box = c.box
     lu = spla.splu(A[box][:, box].tocsc())
-    oracle = domain.far_field_oracle()
-    N, response = domain._box_elimination(jt, oracle)
+    cols = np.arange(domain.nx)
+    bottom = np.flatnonzero(np.isin(box, domain.index(cols, domain.strip_top + 1)))
     E = np.zeros((len(box), domain.nx))
     E[bottom, cols] = 1.0
-    assert np.abs(N - lu.solve(E)[bottom]).max() <= 1e-14
-    if oracle is None:
-        assert response is None
-    else:
-        ref = lu.solve((X[box] @ oracle))[bottom]
-        assert np.abs(response - ref).max() <= 1e-14
+    oracle = domain.far_field_oracle()
+    fb = X[box] @ oracle if oracle is not None else np.random.default_rng(3).random(E.shape)
+    v = np.random.default_rng(4).random((domain.nx, domain.nx))
+    for trans in (False, True):
+        modes = c.box_modes(fb, trans)
+        ref = lu.solve(fb + E @ v, trans="T" if trans else "N")
+        assert np.abs(c.box_values(modes, v, trans) - ref).max() <= 1e-14 * np.abs(ref).max()
+        # N, the bottom-row block of the box's inverse
+        N = c.box_values(None, np.eye(domain.nx), trans)[bottom]
+        assert np.abs(N - lu.solve(E, trans="T" if trans else "N")[bottom]).max() <= 1e-14
+
+
+def test_no_solve_factors_the_whole_grid(monkeypatch):
+    # every solve runs on the strip: no factored matrix spans the whole
+    # grid, and each closure is factored once
+    from lipvar.domain_field import grid
+
+    shapes = []
+
+    def splu(A, **kw):
+        shapes.append(A.shape)
+        return spla.splu(A, **kw)
+
+    monkeypatch.setattr(grid, "splu", splu)
+    for far_field, closures in (("zero", 2), ("halfplane", 1)):
+        shapes.clear()
+        domain = build_domain(_flat_cfg(far_field=far_field))
+        domain.kernel_table()
+        harmonic_extension(domain, np.ones(domain.nx))
+        harmonic_measure(domain, (0.0, 1.0))
+        greens_function(domain, (0.0, 1.0))
+        point = _box_point(domain)
+        assert domain.snap_point(point)[1] - domain.jb.max() > domain.band_rows
+        kernel_measure(domain, point)
+        assert len(shapes) == closures
+        assert all(n < domain.n_interior for n, _ in shapes)
 
 
 # -- assembly ----------------------------------------------------------------------
