@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 
 from ..errors import ConfigError, ConvergenceError, ResolutionError
@@ -161,12 +162,13 @@ class DiscreteDomain:
         self.field_rows = min(int(round(config.band_height / h)), head)
         self.kernel_mode = "reflect" if config.far_field == "zero" else "absorb"
         # Top row jt of the boundary strip, the part of the grid each closure
-        # factors: it holds every kernel band level, the pole and every graph
-        # coupling.  The box above it is solved in closed form
+        # factors: the lowest row above every graph node, so the strip holds
+        # every graph coupling and nothing more.  The box above it, where
+        # most kernel band levels and the pole sit, is solved in closed form
         # (``_StripSolver``).  A box of one row would couple twice into the
         # strip under the mirrored top, so below two rows the strip is the
         # whole grid.
-        jt = max(int((self.jb + self.band_rows).max()), self.snap_point(config.pole)[1])
+        jt = int(self.jb.max()) + 1
         self.strip_top = jt if self.ny - 1 - jt >= 2 else self.ny - 1
 
         self._strips = {}
@@ -327,37 +329,42 @@ class DiscreteDomain:
         identity: the measure from a boundary node is the point mass at that
         node.
 
-        The nx right-hand sides are solved on the boundary strip alone, in
-        chunks of columns; the strip holds every band level and the pole, so
-        the box above it is never rebuilt.
+        The nx right-hand sides are solved on the boundary strip, in chunks
+        of columns.  Levels at or below the strip's top row are read from
+        the strip; the others from the bottom rows of the box above it, the
+        only box rows built.  The pole masses (``hm_weights``) are the
+        kernel measure at the pole: a band row, or one transposed solve.
         """
         if self._kernel_band is not None:
             return self._kernel_band
-        pi, pj = self.snap_point(self.config.pole)
-        if not self.is_interior(pi, pj):
+        if not self.is_interior(*self.snap_point(self.config.pole)):
             raise ConfigError("pole snapped onto the boundary")
-        nx, nb = self.nx, self.band_rows
+        nx, nb, jt = self.nx, self.band_rows, self.strip_top
         c = self._strip_solver(self.kernel_mode)
-        B = c.B[c.strip]  # B vanishes on the box
+        B, X = c.B[c.strip], c.X[c.strip]  # B vanishes on the box
         oracle = self.far_field_oracle()
-        gather = c.local(np.arange(nx), self.jb + np.arange(1, nb + 1)[:, None])
-        pidx = c.local(pi, pj)
+        cols = np.arange(nx)
+        levels = self.jb + np.arange(1, nb + 1)[:, None]
+        rows = max(int(levels.max()) - jt, 0)  # box rows the band reaches
+        # strip values first, then the bottom box rows in box order
+        gather = np.where(levels <= jt, c.local(cols, np.minimum(levels, jt)),
+                          len(c.strip) + cols * rows + levels - jt - 1)
         band = np.empty((nb + 1, nx, nx))
         band[0] = np.eye(nx)
-        w = np.empty(nx)
         for lo in range(0, nx, _SOLVE_CHUNK):
             hi = min(lo + _SOLVE_CHUNK, nx)
             rhs = B[:, lo:hi].toarray()
             modes = None
             if oracle is not None:
-                ghost = c.X @ oracle[:, lo:hi]
-                rhs += ghost[c.strip]
-                modes = c.box_modes(ghost[c.box])
+                rhs += X @ oracle[:, lo:hi]
+                # the box's bottom row also feeds the strip's top row
+                modes = c.slot_modes(oracle[:, lo:hi], max(rows, 1))
             sol = c.solve_strip(rhs, modes)
+            if rows:
+                sol = np.concatenate([sol, c.box_values(modes, sol[c.top], rows=rows)])
             band[1:, :, lo:hi] = sol[gather, :]
-            w[lo:hi] = sol[pidx, :]
         self._kernel_band = band
-        self._weights = w
+        self._weights = kernel_measure(self, self.config.pole).s_masses
         return band
 
     @property
@@ -512,7 +519,8 @@ class DiscreteDomain:
             out = np.eye(self.nx)
         else:
             eig = self._eigensystem()
-            s = y / self.h
+            # from the key: a cached row is the same whichever y filled it
+            s = key / self.h
             if eig != "schur":
                 vals, V, Vinv = eig
                 out = ((V * vals ** s) @ Vinv).real
@@ -594,25 +602,30 @@ class _StripSolver:
     """One factorization of a closure's system A x = f serves every solve.
 
     A solve is exact block elimination at the strip's top row jt
-    (``DiscreteDomain.strip_top``).  The box above it (rows jt+1 .. ny-1,
-    every column interior, none or at least two rows) carries the
-    constant-coefficient operator K_x ⊗ I + I ⊗ T_y.  The closed-form modes
-    Q of the side operator K_x (cosines between mirrored sides, sines
-    between absorbing ones; eigenvalues λ_k) diagonalise it, and each mode's
-    tridiagonal T_y + λ_k is eliminated from the box top down with pivots
+    (``DiscreteDomain.strip_top``), the lowest row above every graph node.
+    The box above it (rows jt+1 .. ny-1, every column interior, none or at
+    least two rows) carries the constant-coefficient operator
+    K_x ⊗ I + I ⊗ T_y.  The closed-form modes Q of the side operator K_x
+    (cosines between mirrored sides, sines between absorbing ones;
+    eigenvalues λ_k) diagonalise it, and each mode's tridiagonal T_y + λ_k is
+    eliminated from the box top down with pivots
     s_r = 1 / (2 + λ_k − t_{r+1}); the top ratio t is 2/(2 + λ_k) under a
     mirrored top and 1/(2 + λ_k) under an absorbing one.  The strip's top
-    row sees the box as −N, where N = Q diag(s_0) Q⁻¹ is the box's solve of
-    unit bottom-row data, so the strip system A_SS − E N Eᵀ takes the one
-    sparse LU.  A solve then
+    row T sees the box as −N, where N = Q diag(s_0) Q⁻¹ is the box's solve
+    of unit bottom-row data.  N is dense, so it stays out of the sparse LU:
+    the strip's lower rows L, which hold every graph coupling, take one
+    sparse LU, and the top row the dense nx × nx Schur complement
+    S = A_TT − N − A_TL A_LL⁻¹ A_LT, built in column chunks and factored by
+    ``lu_factor``.  A solve then
 
     1. solves the box part of f (skipped when it is zero) and adds its
-       bottom row to the strip top row's right-hand side;
-    2. solves the strip;
-    3. rebuilds the box: the step-1 values plus the modal propagation of the
-       strip's top row.
+       bottom row to the top row's right-hand side;
+    2. solves the strip: y = A_LL⁻¹ f_L, x_T = S⁻¹ (f_T − A_TL y) and
+       x_L = A_LL⁻¹ (f_L − A_LT x_T);
+    3. rebuilds the box, or only its bottom rows: the step-1 values plus
+       the modal propagation of the top row.
 
-    Transposed solves take the strip LU's transpose and the same box solve
+    Transposed solves take the transposed factors and the same box solve
     with Q⁻ᵀ and Qᵀ in the places of Q and Q⁻¹.  Under the scaling of its
     mirrored rows and columns the box is similar to its transpose; on T_y
     that scaling weights the top row by the mirror factor.
@@ -622,22 +635,28 @@ class _StripSolver:
         A, self.B, self.X = domain._assemble(mode)
         nx, ny, jb, jt = domain.nx, domain.ny, domain.jb, domain.strip_top
         self.rows = ny - 1 - jt
+        self._ny = ny
         # each column keeps its first jt - jb nodes in the strip
         self._base = domain.offsets[:-1] - jb - 1 - self.rows * np.arange(nx)
         i = np.repeat(np.arange(nx), ny - 1 - jb)
         in_box = np.arange(domain.n_interior) - domain.offsets[i] >= jt - jb[i]
         self.strip, self.box = np.flatnonzero(~in_box), np.flatnonzero(in_box)
         self.top = self.local(np.arange(nx), jt)
+        self.low = np.setdiff1d(np.arange(len(self.strip)), self.top)
         A = A[self.strip][:, self.strip]
-        if self.rows:
-            self._modes(nx, mode)
-            N = (self.Q * self.s[:, 0]) @ self.Qinv
-            top = self.top
-            A = A - sp.csr_matrix((N.ravel(), (np.repeat(top, nx), np.tile(top, nx))),
-                                  shape=A.shape)
+        self._TL = A[self.top][:, self.low]
+        self._LT = A[self.low][:, self.top].tocsc()
         # minimum-degree ordering on A^T + A: about half the fill of the
         # default COLAMD on these grids
-        self.lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        self.lu = splu(A[self.low][:, self.low].tocsc(), permc_spec="MMD_AT_PLUS_A")
+        S = A[self.top][:, self.top].toarray()
+        if self.rows:
+            self._modes(nx, mode)
+            S -= (self.Q * self.s[:, 0]) @ self.Qinv
+        for lo in range(0, nx, _SOLVE_CHUNK):
+            hi = min(lo + _SOLVE_CHUNK, nx)
+            S[:, lo:hi] -= self._TL @ self.lu.solve(self._LT[:, lo:hi].toarray())
+        self.schur = lu_factor(S, overwrite_a=True)
 
     def _modes(self, nx, mode):
         k = np.arange(nx)
@@ -660,12 +679,10 @@ class _StripSolver:
         for r in range(self.rows - 2, -1, -1):
             s[:, r] = t = 1.0 / (d - t)
         self.s = s
-        # Row 0 of (T_y + λ)⁻¹ is cumprod(s): the bottom row's response to
-        # data on row r.  Its column 0 carries the mirror factor on the top
-        # row: the modal propagation of the strip's top row, x_0 = s_0 v and
-        # x_r = s_r x_{r-1}.
-        self.bottom = np.cumprod(s, axis=1)
-        self.lift = self.bottom.copy()
+        # The modal propagation of the strip's top row v into the box,
+        # x_0 = s_0 v and x_r = s_r x_{r-1}, with the mirror factor on the
+        # top row.
+        self.lift = np.cumprod(s, axis=1)
         self.lift[:, -1] *= self.mirror
 
     def local(self, i, j):
@@ -674,14 +691,36 @@ class _StripSolver:
 
     def box_modes(self, fb, trans=False):
         """Modes (nx, rows, m) of the box part fb (box nodes, m) of a
-        right-hand side, or None when fb is zero."""
+        right-hand side, eliminated from the box top down; None when fb is
+        zero."""
         if not fb.any():
             return None
         nx = len(self.s)
         g = ((self.Q.T if trans else self.Qinv) @ fb.reshape(nx, -1)).reshape(nx, self.rows, -1)
         if trans:
             g[:, -1] *= self.mirror
+        for r in range(self.rows - 2, -1, -1):
+            g[:, r] += self.s[:, r + 1, None] * g[:, r + 1]
         return g
+
+    def slot_modes(self, d, rows):
+        """The bottom ``rows`` rows of the ``box_modes`` of X d, for
+        ghost-slot data d (2 ny + nx, m) of an absorbing closure.  In the box
+        X reaches only the side columns and the top row, so the elimination
+        reads those slices of d alone.  None when there is no box."""
+        if not self.rows:
+            return None
+        ny, top = self._ny, self.rows - 1
+        left, right = d[ny - self.rows:ny], d[2 * ny - self.rows:2 * ny]
+        g = self.Qinv @ d[2 * ny:]
+        out = np.empty((len(g), rows, g.shape[1]))
+        for r in range(top, -1, -1):
+            if r < top:
+                g *= self.s[:, r + 1, None]
+            g += self.Qinv[:, :1] * left[r] + self.Qinv[:, -1:] * right[r]
+            if r < rows:
+                out[:, r] = g
+        return out
 
     def _nodal(self, x, trans):
         """Nodal values of box modes x (nx, rows', m), in box order."""
@@ -692,24 +731,30 @@ class _StripSolver:
         """Strip values (strip nodes, m) for the strip part fs of a
         right-hand side and the ``box_modes`` of its box part."""
         if modes is not None:
-            fs[self.top] += self._nodal(np.einsum("kr,krm->km", self.bottom, modes)[:, None], trans)
-        return self.lu.solve(fs, trans="T" if trans else "N")
+            fs[self.top] += self._nodal((self.s[:, 0, None] * modes[:, 0])[:, None], trans)
+        t = "T" if trans else "N"
+        TL, LT = (self._LT.T, self._TL.T) if trans else (self._TL, self._LT)
+        fl = fs[self.low]
+        x = np.empty_like(fs)
+        x[self.top] = xt = lu_solve(self.schur, fs[self.top] - TL @ self.lu.solve(fl, trans=t),
+                                    trans=int(trans))
+        x[self.low] = self.lu.solve(fl - LT @ xt, trans=t)
+        return x
 
-    def box_values(self, modes, v, trans=False):
+    def box_values(self, modes, v, trans=False, rows=None):
         """Box values (box nodes, m) for the ``box_modes`` of a right-hand
-        side (None: zero) and strip top-row values v (nx, m)."""
-        x = self.lift[:, :, None] * ((self.Q.T if trans else self.Qinv) @ v)[:, None]
+        side (None: zero) and strip top-row values v (nx, m).  Given
+        ``rows``, only the bottom rows are built, in the same column-major
+        order."""
+        rows = self.rows if rows is None else rows
+        x = self.lift[:, :rows, None] * ((self.Q.T if trans else self.Qinv) @ v)[:, None]
         if modes is not None:
-            # eliminate from the box top down, then substitute upwards
-            g = modes.copy()
-            for r in range(self.rows - 2, -1, -1):
-                g[:, r] += self.s[:, r + 1, None] * g[:, r + 1]
-            y = 0.0
-            for r in range(self.rows):
+            y = 0.0  # substitute upwards
+            for r in range(rows):
                 c = self.mirror if r == self.rows - 1 else 1.0
-                y = self.s[:, r, None] * (g[:, r] + c * y)
+                y = self.s[:, r, None] * (modes[:, r] + c * y)
                 x[:, r] += y
-        if trans:
+        if trans and rows == self.rows:
             x[:, -1] /= self.mirror
         return self._nodal(x, trans)
 
@@ -791,7 +836,7 @@ class HarmonicField:
         key = ("grad", round(float(y), 12))
         if key in self._cache:
             return self._cache[key]
-        gx, gy = self.domain._band_stencil(self.band(), y)
+        gx, gy = self.domain._band_stencil(self.band(), key[1])
         self._cache[key] = (gx, gy)
         return gx, gy
 

@@ -168,7 +168,8 @@ class OmegaWorkspace:
                       n_max: int = N_MAX):
         key = (round(seg.m, 12), round(seg.M, 12), round(eps, 12), tol, n_max)
         if key not in self._omega:
-            self._omega[key] = self._dyadic_limit(seg, eps, tol, n_max)
+            # from the key: a cached limit is the same whichever call filled it
+            self._omega[key] = self._dyadic_limit(Segment(*key[:2]), key[2], tol, n_max)
         return self._omega[key]
 
     def _dyadic_limit(self, seg, eps, tol, n_max):

@@ -46,9 +46,6 @@ class VariationResult:
     tail_estimate: np.ndarray
     n_evals: int
 
-    def at_node(self, i: int) -> float:
-        return float(self.values[i])
-
 
 def vertical_variation(domain: DiscreteDomain, u: HarmonicField,
                        y_min: float | None = None, y_max: float = 1.0) -> VariationResult:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -326,6 +327,14 @@ def test_band_readers_share_the_top(flat_small):
     assert np.all(np.isfinite(u.rows(y))) and np.all(np.isfinite(u.grad_rows(y)))
 
 
+def test_grad_rows_do_not_depend_on_call_history(saw_small):
+    # 0.45 - 0.3 shares the cache key 0.15 but not its last bit: the rows
+    # come from the key, so either height on a fresh field gives the same
+    domain, u = saw_small
+    a, b = (harmonic_extension(domain, u.boundary_data).grad_rows(y) for y in (0.15, 0.45 - 0.3))
+    assert all(np.array_equal(p, q) for p, q in zip(a, b))
+
+
 @pytest.fixture(scope="module")
 def saw_steep():
     """Sawtooth of slope 2 at h = 0.1: wall nodes under the snapped steps."""
@@ -395,21 +404,35 @@ def _band_full_solve(domain):
 
 
 def _box_rows(domain):
-    """Rows of the box above the band's top level (pole at or below it)."""
-    return domain.ny - 1 - int((domain.jb + domain.band_rows).max())
+    """Rows of the box above the lowest row over every graph node."""
+    return domain.ny - 1 - (int(domain.jb.max()) + 1)
+
+
+def _tooth_cfg(pole=(3.0, 1.0), **kw):
+    """A tooth of height 1 (slope 2) at h = 0.1, the pole beside it."""
+    return _flat_cfg(graph=LipschitzGraph.sawtooth(1.0, 2, 1.0), pole=pole, **kw)
 
 
 _STRIP_GRIDS = {
     "halfplane": _flat_cfg(far_field="halfplane"),
-    # the box above the band's top level has 0, 1 and 2 rows; a 1-row box
-    # would couple twice into the strip under the mirrored top
+    # short flat boxes, and a pole above the kernel band's top level
     "box0": _flat_cfg(box_height=1.1),
     "box1": _flat_cfg(box_height=1.2),
     "box2": _flat_cfg(box_height=1.3),
     "box2_halfplane": _flat_cfg(box_height=1.3, far_field="halfplane"),
-    # the pole sits above the band's top level, so it sets the strip's top
     "pole_above_band": _flat_cfg(pole=(0.0, 1.5)),
     "pole_above_band_halfplane": _flat_cfg(pole=(0.0, 1.5), far_field="halfplane"),
+    # a halfplane grid with a 1-row box: the strip is the whole grid
+    "halfplane_box1": _flat_cfg(box_halfwidth=2.0, box_height=2.0, grid_spacing=1.0,
+                                far_field="halfplane"),
+    # a tall tooth in short boxes: the box above the strip has 0, 1 and 2
+    # rows, and a 1-row box would couple twice into the strip under the
+    # mirrored top; the pole beside the tooth sits in the strip
+    "tooth_box0": _tooth_cfg(box_height=1.1),
+    "tooth_box1": _tooth_cfg(box_height=1.2),
+    "tooth_box2": _tooth_cfg(box_height=1.3),
+    # the pole above the tooth, in the box and above the band's top level
+    "tooth_pole_in_box": _tooth_cfg(box_height=2.5, pole=(0.0, 1.5)),
 }
 
 
@@ -428,11 +451,35 @@ def test_strip_band_matches_full_solve(name, request):
 
 
 def test_strip_grids_cover_the_box_cases():
-    rows = {name: _box_rows(build_domain(cfg)) for name, cfg in _STRIP_GRIDS.items()}
-    assert (rows["box0"], rows["box1"], rows["box2"], rows["box2_halfplane"]) == (0, 1, 2, 2)
-    domain = build_domain(_STRIP_GRIDS["pole_above_band"])
-    pole_row = domain.snap_point(domain.config.pole)[1]
-    assert pole_row > int((domain.jb + domain.band_rows).max())
+    domains = {name: build_domain(cfg) for name, cfg in _STRIP_GRIDS.items()
+               if name.startswith("tooth")}
+    boxes = [domains[f"tooth_box{k}"] for k in range(3)]
+    assert [_box_rows(d) for d in boxes] == [0, 1, 2]
+    # below two box rows the strip is the whole grid
+    assert [d.strip_top == d.ny - 1 for d in boxes] == [True, True, False]
+    for d in boxes:
+        assert d.snap_point(d.config.pole)[1] <= d.strip_top
+    d = build_domain(_STRIP_GRIDS["halfplane_box1"])
+    assert _box_rows(d) == 1 and d.strip_top == d.ny - 1
+    d = domains["tooth_pole_in_box"]
+    pi, pj = d.snap_point(d.config.pole)
+    assert pj > d.strip_top and pj - d.jb[pi] > d.band_rows
+
+
+@pytest.mark.parametrize("name", ["flat_small", "saw_small", "saw_steep", *_STRIP_GRIDS])
+def test_strip_holds_only_the_graph_rows(name, request):
+    # the strip stops at the lowest row above every graph node, so it has
+    # sum_i (jt - jb_i) unknowns: nx on a flat grid with a box above it
+    domain = _strip_grid(name, request)
+    c = domain._strip_solver(domain.kernel_mode)
+    jt = domain.strip_top
+    assert len(c.strip) == (jt - domain.jb).sum()
+    if c.rows:
+        assert jt == domain.jb.max() + 1
+        if not domain.graph.breakpoints:
+            assert len(c.strip) == domain.nx
+    else:
+        assert jt == domain.ny - 1
 
 
 def _box_point(domain):
@@ -494,7 +541,18 @@ def test_box_elimination_is_the_box_inverse(far_field):
     assert c.rows >= 2
     A, _, X = domain._assemble(domain.kernel_mode)
     box = c.box
-    lu = spla.splu(A[box][:, box].tocsc())
+    Abox = A[box][:, box].tocsc()
+    lu = spla.splu(Abox)
+
+    def box_solve(f, trans):
+        # the LU solution refined once against an extended-precision
+        # residual: the LU alone is about 2e-14 off on the zero domain
+        t = "T" if trans else "N"
+        x = lu.solve(f, trans=t)
+        M = (Abox.T if trans else Abox).astype(np.longdouble)
+        r = f - M @ x.astype(np.longdouble)
+        return x + lu.solve(r.astype(float), trans=t)
+
     cols = np.arange(domain.nx)
     bottom = np.flatnonzero(np.isin(box, domain.index(cols, domain.strip_top + 1)))
     E = np.zeros((len(box), domain.nx))
@@ -504,28 +562,38 @@ def test_box_elimination_is_the_box_inverse(far_field):
     v = np.random.default_rng(4).random((domain.nx, domain.nx))
     for trans in (False, True):
         modes = c.box_modes(fb, trans)
-        ref = lu.solve(fb + E @ v, trans="T" if trans else "N")
+        ref = box_solve(fb + E @ v, trans)
         assert np.abs(c.box_values(modes, v, trans) - ref).max() <= 1e-14 * np.abs(ref).max()
         # N, the bottom-row block of the box's inverse
         N = c.box_values(None, np.eye(domain.nx), trans)[bottom]
-        assert np.abs(N - lu.solve(E, trans="T" if trans else "N")[bottom]).max() <= 1e-14
+        assert np.abs(N - box_solve(E, trans)[bottom]).max() <= 1e-14
 
 
 def test_no_solve_factors_the_whole_grid(monkeypatch):
     # every solve runs on the strip: no factored matrix spans the whole
-    # grid, and each closure is factored once
+    # grid, and each closure is factored once, by one sparse LU of the
+    # strip's rows below its top row (none on a flat grid) and one dense LU
+    # of the top row's Schur complement
     from lipvar.domain_field import grid
 
-    shapes = []
+    shapes, dense = [], []
 
     def splu(A, **kw):
         shapes.append(A.shape)
         return spla.splu(A, **kw)
 
+    def lu_factor(S, **kw):
+        dense.append(S.shape)
+        return sla.lu_factor(S, **kw)
+
     monkeypatch.setattr(grid, "splu", splu)
-    for far_field, closures in (("zero", 2), ("halfplane", 1)):
+    monkeypatch.setattr(grid, "lu_factor", lu_factor)
+    saw = LipschitzGraph.sawtooth(0.5, 2, 1.0)
+    for cfg, closures in ((_flat_cfg(), 2), (_flat_cfg(far_field="halfplane"), 1),
+                          (_flat_cfg(graph=saw), 2)):
         shapes.clear()
-        domain = build_domain(_flat_cfg(far_field=far_field))
+        dense.clear()
+        domain = build_domain(cfg)
         domain.kernel_table()
         harmonic_extension(domain, np.ones(domain.nx))
         harmonic_measure(domain, (0.0, 1.0))
@@ -535,6 +603,7 @@ def test_no_solve_factors_the_whole_grid(monkeypatch):
         kernel_measure(domain, point)
         assert len(shapes) == closures
         assert all(n < domain.n_interior for n, _ in shapes)
+        assert dense == [(domain.nx, domain.nx)] * closures
 
 
 # -- assembly ----------------------------------------------------------------------

@@ -397,6 +397,21 @@ def test_log_path_rejects_an_inaccurate_logarithm(monkeypatch):
         _saw_tall_domain().power_rows(0.25)
 
 
+@pytest.mark.parametrize("graph, pole, path", [
+    (LipschitzGraph.flat(), (0.0, 1.0), "eigen"),
+    (LipschitzGraph.sawtooth(1.1, 2, 2.2), (0.0, 2.1), "log"),
+])
+def test_power_rows_do_not_depend_on_call_history(graph, pole, path):
+    # 0.45 - 0.3 shares the cache key 0.15 but not its last bit: the rows
+    # come from the key, so either height on a fresh domain gives the same
+    rows = []
+    for y in (0.15, 0.45 - 0.3):
+        domain = build_domain(DomainConfig(graph, 5.0, 5.0, 0.1, pole))
+        rows.append(domain.power_rows(y))
+    assert (domain._eigensystem() == "schur") == (path == "log")
+    assert np.array_equal(rows[0], rows[1])
+
+
 _PATH_OF_README_SAWTOOTH = """
 from lipvar.domain_field import DomainConfig, LipschitzGraph, build_domain
 graph = LipschitzGraph.sawtooth(0.5, 2, 1.0, 0)

@@ -18,6 +18,7 @@ from lipvar.domain_field import (
 from lipvar.errors import ConfigError, ConvergenceError
 from lipvar.omega import (
     OmegaLadder,
+    OmegaWorkspace,
     _workspace,
     Partition,
     Segment,
@@ -93,6 +94,17 @@ def test_dropped_u_frees_its_workspace(flat_small):
         assert ws() is None
     finally:
         gc.enable()
+
+
+def test_omega_entries_do_not_depend_on_call_history():
+    # the second segment and eps share the first's cache key but not their
+    # last bits: the limit comes from the key, so either on a fresh
+    # workspace gives the same entries
+    domain = build_domain(DomainConfig(LipschitzGraph.flat(), 5.0, 5.0, 0.1, (0.0, 1.0)))
+    u = harmonic_extension(domain, arc_indicator(domain, -1.0, 1.0))
+    a = OmegaWorkspace(domain, u).omega_entries(Segment(0.3, 0.4), 0.15)[0]
+    b = OmegaWorkspace(domain, u).omega_entries(Segment(0.1 + 0.2, 0.7 - 0.3), 0.45 - 0.3)[0]
+    assert np.array_equal(a, b)
 
 
 def test_workspace_rejects_field_of_another_domain(flat_small, saw_small):
