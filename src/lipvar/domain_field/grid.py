@@ -29,6 +29,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 from ..errors import ConfigError, ConvergenceError, ResolutionError
@@ -38,6 +39,10 @@ from .geometry import LipschitzGraph
 NEGLIGIBLE_MASS = 1e-12  # nodes below this fraction of total weight are excluded
 EIG_COND_MAX = 1e5       # eigenbasis condition number above which powers use log G
 _SOLVE_CHUNK = 32
+# Below this many right-hand sides (times wing copies) a wing solve runs
+# LAPACK's tridiagonal solve, one right-hand side at a time; from it on, a
+# vectorised sweep, whose cost is mostly a fixed Python loop over columns.
+_SWEEP_MIN_RHS = 16
 
 # four Gauss-Legendre nodes on [-1, 1]; row p of the inverse Vandermonde
 # matrix holds the t^p coefficients of the nodes' Lagrange polynomials
@@ -598,6 +603,105 @@ class DiscreteDomain:
         return self._fractions
 
 
+class _Wing:
+    """A wing of the boundary strip, solved in closed form.
+
+    A wing is a run of at least two columns at one end of the grid whose
+    graph nodes all sit on the end column's row jw, taken with their m =
+    jt − 1 − jw rows under the strip's top row jt.  Every wing node is
+    interior and sees the constant-coefficient operator K_x ⊗ I + I ⊗ T_y:
+    T_y is Dirichlet below (the graph) and above (the top row), K_x is
+    Dirichlet on the inner side (the core, or the graph where it rises) and
+    mirrored or absorbing at the wall.  The orthonormal DST-I P diagonalises
+    T_y (eigenvalues μ_k = 2 − 2 cos(π (k+1)/(m+1))), and every mode's
+    tridiagonal K_x + μ_k is factored once: by ``dgttrf``, all modes in one
+    block-diagonal system, and, since it is diagonally dominant, by
+    elimination without pivoting for a sweep over the columns that takes
+    all modes and right-hand sides at once.
+
+    Nodes run column by column from the wall inwards, each column from the
+    bottom.  Wings of one shape (both ends of a symmetric graph) share the
+    operator and are swept together: ``nodes`` is (copies, a, m), and modes
+    are held as (a, m, copies × r) arrays.  A wing couples to the rest of
+    the strip only through its rim Γ, its top row and, below that, its inner
+    column; ``zg`` is the Γ × Γ block of one wing's inverse.
+    """
+
+    def __init__(self, nodes, mirror):
+        self.c, self.a, self.m = c, a, m = nodes.shape
+        self.nodes = nodes
+        self.gamma = np.concatenate([nodes[:, :, -1], nodes[:, -1, :-1]], axis=1).ravel()
+        k = np.arange(1, m + 1)
+        self.P = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+        d = 4.0 - 2.0 * np.cos(np.pi * k / (m + 1))
+        # off-diagonals of K_x: up[i] couples column i to i+1, down[i] i+1 to i
+        up, down = np.full(a - 1, -1.0), np.full(a - 1, -1.0)
+        if mirror:
+            up[0] = -2.0  # the wall column's mirrored neighbour
+        self._sweeps = {False: self._eliminate(d, up, down), True: self._eliminate(d, down, up)}
+        # the modes stacked, with no coupling between them
+        self._lu = dgttrf(np.tile(np.r_[down, 0.0], m)[:-1], np.repeat(d, a),
+                          np.tile(np.r_[up, 0.0], m)[:-1])[:5]
+        self.zg = self._rim(self.solve(self._rim_modes(np.eye(a + m - 1))))
+
+    @staticmethod
+    def _eliminate(d, up, down):
+        """Pivots 1/d'_i and ratios up_i/d'_i of the tridiagonal (down, d, up)."""
+        inv = np.empty((len(up) + 1, len(d)))
+        ratio = np.empty((len(up), len(d)))
+        inv[0] = 1.0 / d
+        for i in range(len(up)):
+            ratio[i] = up[i] * inv[i]
+            inv[i + 1] = 1.0 / (d - down[i] * ratio[i])
+        return inv[:, :, None], ratio[:, :, None], -down
+
+    def modes(self, fs):
+        """Modes of the wings' part of fs (strip nodes, r); None when it is zero."""
+        f = fs[self.nodes]
+        nz = np.flatnonzero(f.any(axis=(0, 1, 3)))  # typically the bottom row alone
+        if not len(nz):
+            return None
+        return self.P[:, nz] @ f[:, :, nz].transpose(1, 2, 0, 3).reshape(self.a, len(nz), -1)
+
+    def rim_modes(self, b):
+        """Modes of data b (copies × |Γ|, r) on the rims."""
+        r = b.shape[1]
+        return self._rim_modes(b.reshape(self.c, -1, r).transpose(1, 0, 2).reshape(-1, self.c * r))
+
+    def _rim_modes(self, b):
+        g = self.P[:, -1, None] * b[:self.a, None]
+        g[-1] += self.P[:, :-1] @ b[self.a:]
+        return g
+
+    def solve(self, g, trans=False):
+        """(K_x + μ_k)⁻¹, or its transpose, on every mode of g, in place."""
+        if g.shape[2] < _SWEEP_MIN_RHS:
+            x, _ = dgttrs(*self._lu, g.transpose(1, 0, 2).reshape(self.m * self.a, -1),
+                          trans="T" if trans else "N")
+            g[:] = x.reshape(self.m, self.a, -1).transpose(1, 0, 2)
+            return g
+        inv, ratio, down = self._sweeps[trans]
+        g[0] *= inv[0]
+        for i in range(1, self.a):
+            g[i] += down[i - 1] * g[i - 1]
+            g[i] *= inv[i]
+        for i in range(self.a - 2, -1, -1):
+            g[i] -= ratio[i] * g[i + 1]
+        return g
+
+    def rim(self, g):
+        """Values (copies × |Γ|, r) on the rims of modes g."""
+        v = self._rim(g)
+        return v.reshape(len(v), self.c, -1).transpose(1, 0, 2).reshape(-1, g.shape[2] // self.c)
+
+    def _rim(self, g):
+        return np.concatenate([np.tensordot(g, self.P[-1], (1, 0)), self.P[:-1] @ g[-1]])
+
+    def scatter(self, x, g):
+        """Write the nodal values of modes g into x (strip nodes, r)."""
+        x[self.nodes] = (self.P @ g).reshape(self.a, self.m, self.c, -1).transpose(2, 0, 1, 3)
+
+
 class _StripSolver:
     """One factorization of a closure's system A x = f serves every solve.
 
@@ -612,17 +716,25 @@ class _StripSolver:
     s_r = 1 / (2 + λ_k − t_{r+1}); the top ratio t is 2/(2 + λ_k) under a
     mirrored top and 1/(2 + λ_k) under an absorbing one.  The strip's top
     row T sees the box as −N, where N = Q diag(s_0) Q⁻¹ is the box's solve
-    of unit bottom-row data.  N is dense, so it stays out of the sparse LU:
-    the strip's lower rows L, which hold every graph coupling, take one
-    sparse LU, and the top row the dense nx × nx Schur complement
-    S = A_TT − N − A_TL A_LL⁻¹ A_LT, built in column chunks and factored by
-    ``lu_factor``.  A solve then
+    of unit bottom-row data.
+
+    Below T, the flat ends of the graph leave two rectangles, the wings W
+    (``_Wing``), solved in closed form.  Where the graph rises, the wings
+    hold most of the strip.  Eliminating W, whose inverse Z meets the rest
+    only on its rim Γ, leaves the core C (the lower rows between the wings,
+    which hold the graph's rise) and T with A'_XY = A_XY − A_XΓ Z_ΓΓ A_ΓY.
+    C takes one sparse LU of A'_CC, and T, since N is dense, the dense
+    nx × nx Schur complement S = A'_TT − N − A'_TC A'_CC⁻¹ A'_CT, built in
+    column chunks and factored by ``lu_factor``.  A solve then
 
     1. solves the box part of f (skipped when it is zero) and adds its
        bottom row to the top row's right-hand side;
-    2. solves the strip: y = A_LL⁻¹ f_L, x_T = S⁻¹ (f_T − A_TL y) and
-       x_L = A_LL⁻¹ (f_L − A_LT x_T);
-    3. rebuilds the box, or only its bottom rows: the step-1 values plus
+    2. solves the wing part of f and moves its values on Γ onto the
+       right-hand sides of C and T;
+    3. solves C and T: y = A'_CC⁻¹ f_C, x_T = S⁻¹ (f_T − A'_TC y) and
+       x_C = A'_CC⁻¹ (f_C − A'_CT x_T);
+    4. adds the wings' solve of their Γ data from x_T and x_C to step 2;
+    5. rebuilds the box, or only its bottom rows: the step-1 values plus
        the modal propagation of the top row.
 
     Transposed solves take the transposed factors and the same box solve
@@ -641,21 +753,39 @@ class _StripSolver:
         i = np.repeat(np.arange(nx), ny - 1 - jb)
         in_box = np.arange(domain.n_interior) - domain.offsets[i] >= jt - jb[i]
         self.strip, self.box = np.flatnonzero(~in_box), np.flatnonzero(in_box)
-        self.top = self.local(np.arange(nx), jt)
-        self.low = np.setdiff1d(np.arange(len(self.strip)), self.top)
-        A = A[self.strip][:, self.strip]
-        self._TL = A[self.top][:, self.low]
-        self._LT = A[self.low][:, self.top].tocsc()
+        self.top = T = self.local(np.arange(nx), jt)
+        shapes = {}
+        for cols in (np.arange(nx), np.arange(nx)[::-1]):
+            run = cols[:int(np.argmax(jb[cols] != jb[cols[0]]))]
+            jw = int(jb[cols[0]])
+            if len(run) >= 2 and jt - 1 > jw:
+                nodes = self.local(run[:, None], np.arange(jw + 1, jt))
+                shapes.setdefault(nodes.shape, []).append(nodes)
+        self.wings = [_Wing(np.stack(n), mode == "reflect") for n in shapes.values()]
+        W = np.concatenate([w.nodes.ravel() for w in self.wings] + [np.zeros(0, dtype=int)])
+        self.core = C = np.setdiff1d(np.arange(len(self.strip)), np.concatenate([T, W]))
+        A = A[self.strip][:, self.strip].tocsr()
+        A_CC, A_CT, A_TC = A[C][:, C], A[C][:, T], A[T][:, C]
+        S = A[T][:, T].toarray()
+        if self.wings:
+            G = np.concatenate([w.gamma for w in self.wings])
+            Z = sp.block_diag([w.zg for w in self.wings for _ in range(w.c)], format="csr")
+            self._CG, self._TG = A[C][:, G], A[T][:, G]
+            self._GC, self._GT = A[G][:, C], A[G][:, T]
+            A_CC = A_CC - self._CG @ Z @ self._GC
+            A_CT = A_CT - self._CG @ Z @ self._GT
+            A_TC = A_TC - self._TG @ Z @ self._GC
+            S -= (self._TG @ Z @ self._GT).toarray()
+        self._TC, self._CT = A_TC.tocsr(), A_CT.tocsc()
         # minimum-degree ordering on A^T + A: about half the fill of the
         # default COLAMD on these grids
-        self.lu = splu(A[self.low][:, self.low].tocsc(), permc_spec="MMD_AT_PLUS_A")
-        S = A[self.top][:, self.top].toarray()
+        self.lu = splu(A_CC.tocsc(), permc_spec="MMD_AT_PLUS_A")
         if self.rows:
             self._modes(nx, mode)
             S -= (self.Q * self.s[:, 0]) @ self.Qinv
         for lo in range(0, nx, _SOLVE_CHUNK):
             hi = min(lo + _SOLVE_CHUNK, nx)
-            S[:, lo:hi] -= self._TL @ self.lu.solve(self._LT[:, lo:hi].toarray())
+            S[:, lo:hi] -= self._TC @ self.lu.solve(self._CT[:, lo:hi].toarray())
         self.schur = lu_factor(S, overwrite_a=True)
 
     def _modes(self, nx, mode):
@@ -733,12 +863,33 @@ class _StripSolver:
         if modes is not None:
             fs[self.top] += self._nodal((self.s[:, 0, None] * modes[:, 0])[:, None], trans)
         t = "T" if trans else "N"
-        TL, LT = (self._LT.T, self._TL.T) if trans else (self._TL, self._LT)
-        fl = fs[self.low]
+        fc, ft = fs[self.core], fs[self.top]
+        if trans:
+            TC, CT = self._CT.T, self._TC.T
+        else:
+            TC, CT = self._TC, self._CT
+        if self.wings:
+            if trans:
+                CG, TG, GC, GT = self._GC.T, self._GT.T, self._CG.T, self._TG.T
+            else:
+                CG, TG, GC, GT = self._CG, self._TG, self._GC, self._GT
+            g = [w.modes(fs) for w in self.wings]
+            g = [None if x is None else w.solve(x, trans) for w, x in zip(self.wings, g)]
+            rim = np.concatenate([np.zeros((len(w.gamma), fs.shape[1])) if x is None
+                                  else w.rim(x) for w, x in zip(self.wings, g)])
+            fc, ft = fc - CG @ rim, ft - TG @ rim  # the wings' values on Γ, moved
         x = np.empty_like(fs)
-        x[self.top] = xt = lu_solve(self.schur, fs[self.top] - TL @ self.lu.solve(fl, trans=t),
+        x[self.top] = xt = lu_solve(self.schur, ft - TC @ self.lu.solve(fc, trans=t),
                                     trans=int(trans))
-        x[self.low] = self.lu.solve(fl - LT @ xt, trans=t)
+        x[self.core] = xc = self.lu.solve(fc - CT @ xt, trans=t)
+        if self.wings:
+            data = GT @ xt + GC @ xc  # what x_T and x_C put on Γ
+            lo = 0
+            for w, x0 in zip(self.wings, g):
+                hi = lo + len(w.gamma)
+                xw = -w.solve(w.rim_modes(data[lo:hi]), trans)
+                w.scatter(x, xw if x0 is None else xw + x0)
+                lo = hi
         return x
 
     def box_values(self, modes, v, trans=False, rows=None):

@@ -433,6 +433,11 @@ _STRIP_GRIDS = {
     "tooth_box2": _tooth_cfg(box_height=1.3),
     # the pole above the tooth, in the box and above the band's top level
     "tooth_pole_in_box": _tooth_cfg(box_height=2.5, pole=(0.0, 1.5)),
+    # a plateau rising from x = -0.8: wings of two lengths, each swept alone
+    "lopsided": _flat_cfg(graph=LipschitzGraph(((-0.8, 0.0), (-0.3, 0.5), (0.5, 0.5),
+                                                (1.0, 0.0)), 1.0), pole=(0.0, 1.5)),
+    # teeth down: the graph's ends are its top, so there are no wings
+    "teeth_down": _flat_cfg(graph=LipschitzGraph.sawtooth(0.5, 2, 1.0, 1)),
 }
 
 
@@ -480,6 +485,27 @@ def test_strip_holds_only_the_graph_rows(name, request):
             assert len(c.strip) == domain.nx
     else:
         assert jt == domain.ny - 1
+
+
+@pytest.mark.parametrize("name", ["flat_small", "saw_small", "saw_steep", *_STRIP_GRIDS])
+def test_wings_leave_the_core_to_the_sparse_lu(name, request):
+    # the flat ends of a rising graph are eliminated in closed form; the
+    # sparse LU holds only the lower rows between them
+    domain = _strip_grid(name, request)
+    for mode in ("reflect", "absorb"):
+        c = domain._strip_solver(mode)
+        wing_nodes = sum(w.nodes.size for w in c.wings)
+        assert c.lu.shape == (len(c.core),) * 2
+        assert len(c.core) + wing_nodes + domain.nx == len(c.strip)
+        rises = np.ptp(domain.jb) > 0 and domain.strip_top - 1 > domain.jb[0]
+        assert (wing_nodes > 0) == rises
+        if rises:
+            assert wing_nodes > len(c.core)
+    if name == "lopsided":
+        assert [w.c for w in c.wings] == [1, 1]
+        assert c.wings[0].a > c.wings[1].a
+    if name == "saw_small":
+        assert [w.c for w in c.wings] == [2]
 
 
 def _box_point(domain):
@@ -572,8 +598,8 @@ def test_box_elimination_is_the_box_inverse(far_field):
 def test_no_solve_factors_the_whole_grid(monkeypatch):
     # every solve runs on the strip: no factored matrix spans the whole
     # grid, and each closure is factored once, by one sparse LU of the
-    # strip's rows below its top row (none on a flat grid) and one dense LU
-    # of the top row's Schur complement
+    # strip's core rows (none on a flat grid) and one dense LU of the top
+    # row's Schur complement
     from lipvar.domain_field import grid
 
     shapes, dense = [], []
