@@ -25,6 +25,7 @@ from .domain_field.wos import wos_harmonic_measure
 from .errors import LipvarError
 from .omega import (
     Segment,
+    adjoint_sweep,
     cross_boundary_data,
     dyadic_partition,
     ode_check,
@@ -89,6 +90,15 @@ def phi_ratios(domain, u, y, eps, arc):
     if y / 4 < 2 * domain.h - 1e-12:
         return r1, None
     return r1, phi_property_check(domain, u, psi, Segment(y / 4, y / 2), y, eps)["ratio"]
+
+
+def adjoint_sweep_error(domain, u, kappa, eps, ys):
+    """The adjoint sweep's error estimate: its relative sup distance, at the
+    foot of ys, from a sweep with half steps; and the sweep's step count."""
+    g, steps = adjoint_sweep(domain, u, eps, kappa.s_masses, ys)
+    g2, _ = adjoint_sweep(domain, u, eps, kappa.s_masses, ys, substeps=2)
+    foot = int(np.argmin(ys))
+    return float(np.abs(g[foot] - g2[foot]).max() / np.abs(g2[foot]).max()), steps
 
 
 def ode_residuals(domain, u, eps, grid):
@@ -348,6 +358,10 @@ def _variation(cfg, domain, u, rng):
         err = max(abs(mv - 1.0) for mv in masses)
         return err, err <= 1e-2, {"masses": masses}
 
+    def sweep_error():
+        err, steps = adjoint_sweep_error(domain, u, kappa(), eps, nu()[1].y_sequence)
+        return err, err <= 1e-6, {"steps": steps}
+
     def slope():
         s = nu()[1].slope
         return (s, abs(s - 1.0) <= 0.3) if np.isfinite(s) else None
@@ -359,12 +373,13 @@ def _variation(cfg, domain, u, rng):
     def probe_chain():
         ball = SurfaceBall(tuple(cfg.balls[0]["center"]), float(cfg.balls[0]["radius"]))
         pr = probe_ball(domain, u, ball, z1=cfg.z1, eps=eps, y_sequence=cfg.y_sequence,
-                        variation=V())
+                        variation=V(), nu=nu())
         return pr.chain["nu_ball_mass"], pr.chain_ok, {"ratio": pr.ratio}
 
     yield "variation_dominates", "V >= int |grad u(x_3y)| dy - 1e-2", dominates
     yield "integrand_nonnegative", "B_y(u_y) >= -1e-3", integrand_nonnegative
     yield "gamma_mass", "total mass 1 +- 1e-2 along the sequence", gamma_mass
+    yield "adjoint_sweep_error", "half-step distance at the foot <= 1e-6", sweep_error
     yield "weak_convergence_slope", "log-log slope 1 +- 0.3", slope
     yield "variation_ratio", "R1 finite", ratio
     yield "probe_chain", "all chain links finite and ball mass > 1e-6", probe_chain

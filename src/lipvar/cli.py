@@ -110,7 +110,7 @@ class RunConfig:
             segments=((seg.m, seg.M),),
             balls=balls,
             z1=_numbers(raw, "z1", (0.0, 2.0), "two numbers", lambda v: len(v) == 2),
-            # the Omega ladder's rule: points in (0, 1]
+            # the adjoint sweep's rule: points in (0, 1]
             y_sequence=_numbers(raw, "y_sequence", None,
                                 "a non-empty list of numbers in (0, 1]",
                                 lambda v: v and all(0.0 < y <= 1.0 for y in v)),
@@ -226,12 +226,14 @@ def cmd_verify(cfg: RunConfig, suite: str, out: Path) -> int:
 def cmd_probe(cfg: RunConfig, out: Path) -> int:
     domain, u = _build(cfg)
     V = vertical_variation(domain, u)
+    kappa = kernel_measure(domain, (cfg.z1[0], cfg.z1[1] - 1.0))
+    nu = nu_limit(domain, u, kappa, cfg.epsilon, cfg.y_sequence)
     out.mkdir(parents=True, exist_ok=True)
     status = 0
     for n, entry in enumerate(cfg.balls):
         ball = SurfaceBall(tuple(entry["center"]), float(entry["radius"]))
         res = probe_ball(domain, u, ball, z1=cfg.z1, eps=cfg.epsilon,
-                         y_sequence=cfg.y_sequence, variation=V)
+                         y_sequence=cfg.y_sequence, variation=V, nu=nu)
         reports.write_json(out / f"probe_{n}.json", res.to_dict())
         mask = SurfaceBall(res.ball_center, res.ball_radius).node_mask(domain)
         reports.write_node_table(out / f"probe_{n}_V.csv", domain,

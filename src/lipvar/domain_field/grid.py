@@ -182,6 +182,7 @@ class DiscreteDomain:
         self._eig = None
         self._log = None
         self._fractions = None
+        self._row_fractions = {}
         self._powers = {}
 
     # -- construction checks ---------------------------------------------------
@@ -538,6 +539,27 @@ class DiscreteDomain:
         if len(self._powers) > 160:
             self._powers.clear()
         self._powers[key] = out
+        return out
+
+    def row_power(self, v, s):
+        """v · G^s for a row vector v (or a stack of rows), without forming G^s.
+
+        On the eigen path ((v V) λ^s) V⁻¹.  On the log path v · G^⌊s⌋ times
+        expm(f log G) for the fraction f = s − ⌊s⌋: the integer power comes
+        from ``_integer_power``, the fraction's matrix from a per-domain table
+        keyed by f rounded to 12 digits, and built from that key.
+        """
+        eig = self._eigensystem()
+        if eig != "schur":
+            vals, V, Vinv = eig
+            return (((v @ V) * vals ** s) @ Vinv).real
+        n = int(np.floor(s + 1e-9))
+        f = round(s - n, 12)
+        out = v @ self._integer_power(n) if n else np.array(v, dtype=float)
+        if f > 1e-9:
+            if f not in self._row_fractions:
+                self._row_fractions[f] = np.real(sla.expm(f * self._log_generator()))
+            out = out @ self._row_fractions[f]
         return out
 
     def _integer_power(self, n):

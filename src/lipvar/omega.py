@@ -266,7 +266,8 @@ class OmegaLadder:
 
     The segment semigroup lets the family be built once per (u, eps) from
     elementary dyadic limits between consecutive ladder points and reused by
-    the differential-equation check, the measure transforms, and the probe.
+    the differential-equation check and ``omega_rho_bounds``.  The measure
+    transforms need only kappa^T Omega_[y,1] and take ``adjoint_sweep``.
     """
 
     def __init__(self, domain: DiscreteDomain, u: HarmonicField, eps: float,
@@ -300,9 +301,95 @@ class OmegaLadder:
     def apply(self, y: float, f):
         return self._omega_at[round(float(y), 12)] @ (self.domain.hm_weights * f)
 
-    def adjoint_density(self, y: float, kappa_masses):
-        """Density of the transformed measure Omega_y^*(kappa) against w."""
-        return self._omega_at[round(float(y), 12)].T @ kappa_masses
+
+# ---------------------------------------------------------------------------
+# the adjoint sweep: kappa^T Omega_[y,1] without the matrices
+# ---------------------------------------------------------------------------
+
+FINE_CELLS = 8  # the h/2 cells below 4h, where the sweep takes two steps per cell
+
+
+def _snap(t):
+    """A height in h/2 cells, snapped to a multiple of 1/2 within 1e-9."""
+    r = round(2 * t) / 2
+    return r if abs(t - r) < 1e-9 else t
+
+
+def _sweep_cuts(domain, ys, substeps):
+    """Step ends of the sweep in h/2 cells, from 1 down to the foot of ys:
+    every kink, every point of ys and the cell midpoints below 4h, each step
+    then cut into ``substeps`` equal parts."""
+    half = domain.h / 2
+    top = _snap(1.0 / half)
+    seq = [_snap(y / half) for y in ys]
+    foot = min(seq)
+    pts = set(range(int(np.ceil(foot)), int(np.floor(top)) + 1))
+    pts |= {k + 0.5 for k in range(int(np.floor(foot)), FINE_CELLS)}
+    pts = sorted({t for t in pts | set(seq) | {top} if foot <= t <= top}, reverse=True)
+    cuts = [pts[0]]
+    for a, b in zip(pts[:-1], pts[1:]):
+        cuts.extend(np.linspace(a, b, substeps + 1)[1:])
+    return cuts, seq
+
+
+def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
+                  kappa_masses, ys, substeps: int = 1):
+    """Densities gamma_y of the adjoint images of kappa under Omega_[y,1], at
+    every height of ys, from one downward sweep of a row vector.
+
+    The masses rho_y = kappa^T (Omega_[y,1] W) of the transformed measure
+    solve rho' = -rho A(y) down from rho_1 = kappa, where in mass form
+    A(y) = log(G)/h - eps b_y W and b_y W = G^(y/h) c_y, with c_y's dead
+    rows and excluded rows and columns zeroed as in ``kernels.cell_kernels``.
+    The k-part is taken exactly, as rho G^theta (``row_power``); the eps-part
+    by Lawson's fourth-order Runge-Kutta, an exponential integrator, with one
+    step per h/2 cell and two below 4h, cut at every point of ys.
+    ``substeps`` cuts every step further, for the step-halving estimate.
+
+    Returns (gammas, steps): gammas[i] is the density at ys[i] against the
+    pole measure (rho / ``safe_weights``, zero on the excluded nodes).
+    """
+    ys = [float(y) for y in ys]
+    if min(ys) < 2 * domain.h - 1e-12:
+        raise ResolutionError(f"sweep foot {min(ys)} below the 2h floor")
+    if max(ys) > 1.0 + 1e-12:
+        raise ConfigError("sweep heights must lie in (0, 1]")
+    half = domain.h / 2
+    excl = domain.excluded_nodes
+
+    def coupling(t):
+        """v -> -eps (v G^(y/h)) c_y at y = t h/2; the stencil serves every
+        stage at that height."""
+        sx, sy, _ = u.sigma_rows(2 * t * half)  # zero on dead rows
+        dx, dy = domain.stencil_rows(t * half)
+
+        def n(v):
+            q = domain.row_power(v, t / 2)
+            q[..., excl] = 0.0
+            out = (q * sx) @ dx + (q * sy) @ dy
+            out[..., excl] = 0.0
+            return -eps * out
+        return n
+
+    cuts, seq = _sweep_cuts(domain, ys, substeps)
+    r = np.array(kappa_masses, dtype=float)
+    r[excl] = 0.0
+    rho = {cuts[0]: r}
+    n_top = coupling(cuts[0])
+    for ta, tb in zip(cuts[:-1], cuts[1:]):
+        d = (ta - tb) * half
+        theta = (ta - tb) / 4  # G^theta carries rho down half a step
+        n_mid, n_bot = coupling((ta + tb) / 2), coupling(tb)
+        rp, k1p = domain.row_power(np.stack([r, n_top(r)]), theta)
+        k2 = n_mid(rp + d / 2 * k1p)
+        k3 = n_mid(rp + d / 2 * k2)
+        k4 = n_bot(domain.row_power(rp + d * k3, theta))
+        r = domain.row_power(rp + d / 6 * k1p + d / 3 * (k2 + k3), theta) + d / 6 * k4
+        rho[tb] = r
+        n_top = n_bot
+    gammas = np.stack([rho[t] for t in seq]) / domain.safe_weights
+    gammas[:, excl] = 0.0
+    return gammas, len(cuts) - 1
 
 
 # ---------------------------------------------------------------------------

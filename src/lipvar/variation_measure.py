@@ -25,7 +25,7 @@ from .domain_field.grid import (
     kernel_measure,
 )
 from .errors import ConfigError, ResolutionError
-from .omega import OmegaLadder
+from .omega import adjoint_sweep
 
 MAX_PROBE_SLOPE = 5.0  # vertical probe direction guard for steep profiles
 
@@ -82,26 +82,16 @@ def vertical_variation(domain: DiscreteDomain, u: HarmonicField,
 # ---------------------------------------------------------------------------
 
 
-def _doubling_points(y: float, top: float = 1.0):
-    pts = [y]
-    while pts[-1] * 2 < top - 1e-12:
-        pts.append(pts[-1] * 2)
-    return pts
-
-
 def transform_measure(domain: DiscreteDomain, u: HarmonicField,
-                      kappa: BoundaryMeasure, y: float, eps: float,
-                      ladder: OmegaLadder | None = None) -> BoundaryMeasure:
+                      kappa: BoundaryMeasure, y: float, eps: float) -> BoundaryMeasure:
     """Adjoint image of kappa under Omega_[y,1]: the measure gamma_y d w.
 
     The returned measure carries the density against the pole measure in
-    ``density``; total mass is preserved up to the construction tolerance.
+    ``density``; total mass is preserved up to the sweep's accuracy.
     """
     if abs(kappa.total - 1.0) > 1e-6:
         raise ConfigError("kappa must be a probability measure")
-    if ladder is None:
-        ladder = OmegaLadder(domain, u, eps, _doubling_points(y))
-    gamma = ladder.adjoint_density(y, kappa.s_masses)
+    (gamma,), _ = adjoint_sweep(domain, u, eps, kappa.s_masses, [y])
     out = BoundaryMeasure(domain, gamma * domain.hm_weights)
     out.density = gamma
     return out
@@ -114,7 +104,7 @@ class NuDiagnostics:
     ``alpha_diffs`` pairs each fixed test function with consecutive gamma_y;
     these decay linearly in y.  ``shifted_diffs`` pairs gamma_y with the
     test field shifted to height y, the combination the semigroup freezes
-    exactly when eps = 0.
+    exactly when eps = 0.  ``steps`` counts the steps of the adjoint sweep.
     """
 
     y_sequence: list
@@ -123,6 +113,7 @@ class NuDiagnostics:
     shifted_diffs: np.ndarray  # (len(y)-1,)
     slope: float
     sigma_height: float
+    steps: int
 
 
 def nu_limit(domain: DiscreteDomain, u: HarmonicField, kappa: BoundaryMeasure,
@@ -133,7 +124,7 @@ def nu_limit(domain: DiscreteDomain, u: HarmonicField, kappa: BoundaryMeasure,
     Returns (nu, diagnostics): nu is the transformed measure at the smallest
     resolvable y; the diagnostics hold the smooth-test-function differences
     (harmonic extensions of bumps at a fixed height) and their fitted decay
-    slope against y.
+    slope against y.  All gamma_y come from one ``adjoint_sweep``.
     """
     floor = 2 * domain.h
     if y_sequence is None:
@@ -143,11 +134,8 @@ def nu_limit(domain: DiscreteDomain, u: HarmonicField, kappa: BoundaryMeasure,
             y_sequence.append(round(y, 12))
             y /= 2
     ys = sorted({round(float(v), 12) for v in y_sequence}, reverse=True)
-    if ys[-1] < floor - 1e-12:
-        raise ResolutionError(f"y-sequence foot {ys[-1]} below the 2h floor")
-
-    ladder = OmegaLadder(domain, u, eps, ys)
-    gammas = {y: ladder.adjoint_density(y, kappa.s_masses) for y in ys}
+    sweep, steps = adjoint_sweep(domain, u, eps, kappa.s_masses, ys)
+    gammas = dict(zip(ys, sweep))
     w = domain.hm_weights
 
     centers = np.linspace(-2.0, 2.0, n_alpha)
@@ -184,6 +172,7 @@ def nu_limit(domain: DiscreteDomain, u: HarmonicField, kappa: BoundaryMeasure,
         shifted_diffs=shifted_diffs,
         slope=slope,
         sigma_height=sigma_height,
+        steps=steps,
     )
     return nu, diag
 
@@ -259,13 +248,17 @@ def variation_ratio(u, kappa, eps, nu, variation, masks=()):
 
 def probe_ball(domain: DiscreteDomain, u: HarmonicField, ball: SurfaceBall,
                z1=(0.0, 2.0), eps: float = 0.05, y_sequence=None,
-               variation: VariationResult | None = None) -> ProbeResult:
+               variation: VariationResult | None = None,
+               nu: tuple | None = None) -> ProbeResult:
     """Locate a boundary node of controlled mean vertical variation in a ball.
 
     Sets kappa to the kernel-closure harmonic measure with pole one unit
     below z1, builds nu_eps, tabulates V, and returns the V-minimizer over
     the ball's nodes of non-negligible nu mass, with every link of the bound
     chain (variation integral, ball mass floor, pointwise extraction) logged.
+    ``variation`` and ``nu`` (the pair ``nu_limit`` returns for this kappa,
+    eps and y-sequence) may be passed in, so that the balls of one probe
+    configuration share them.
     """
     L = domain.graph.lipschitz_constant
     if L > MAX_PROBE_SLOPE:
@@ -282,7 +275,7 @@ def probe_ball(domain: DiscreteDomain, u: HarmonicField, ball: SurfaceBall,
         raise ConfigError(f"ball {ball} contains no boundary nodes")
 
     kappa = kernel_measure(domain, (z1[0], z1[1] - 1.0))
-    nu, diag = nu_limit(domain, u, kappa, eps, y_sequence)
+    nu, diag = nu if nu is not None else nu_limit(domain, u, kappa, eps, y_sequence)
     if variation is None:
         variation = vertical_variation(domain, u)
 

@@ -46,3 +46,23 @@ def kernel_flat():
     cfg = DomainConfig(LipschitzGraph.flat(), box_halfwidth=8.0, box_height=8.0,
                        grid_spacing=0.05, pole=(0.0, 1.0))
     return _domain_with_u(cfg)
+
+
+@pytest.fixture(scope="session")
+def saw_tall():
+    """A tall sawtooth at h = 0.1: kappa_2(V) ~ 8e7, log path."""
+    graph = LipschitzGraph.sawtooth(1.1, 2, 2.2)
+    return build_domain(DomainConfig(graph, 5.0, 5.0, 0.1, (0.0, 2.1)))
+
+
+@pytest.fixture(scope="session")
+def saw_tall_u(saw_tall):
+    return saw_tall, harmonic_extension(saw_tall, arc_indicator(saw_tall, -1.0, 1.0))
+
+
+@pytest.fixture(scope="session")
+def readme_saw():
+    """The README sawtooth at h = 0.05, box 6: log path."""
+    cfg = DomainConfig(LipschitzGraph.sawtooth(0.5, 2, 1.0, 0), box_halfwidth=6.0,
+                       box_height=6.0, grid_spacing=0.05, pole=(0.0, 1.0))
+    return _domain_with_u(cfg)

@@ -123,6 +123,22 @@ def test_probe_writes_reports(cfg_path, tmp_path, capsys):
     assert rep["chain_ok"] and rep["ratio"] > 0
 
 
+def test_probe_sweeps_once_for_all_balls(cfg_path, tmp_path, monkeypatch):
+    from lipvar import variation_measure
+
+    calls = []
+    sweep = variation_measure.adjoint_sweep
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(variation_measure, "adjoint_sweep", counted)
+    assert len(CFG["balls"]) == 2
+    assert main(["--config", cfg_path, "--out", str(tmp_path / "p"), "probe"]) == 0
+    assert len(calls) == 1
+
+
 def test_report_collates(cfg_path, tmp_path):
     out = str(tmp_path / "r")
     main(["--config", cfg_path, "--out", out, "verify", "field"])

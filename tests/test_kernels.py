@@ -272,17 +272,6 @@ def _rel_sup(a, ref):
     return np.abs(a - ref).max() / np.abs(ref).max()
 
 
-def _saw_tall_domain():
-    """A tall sawtooth at h = 0.1: kappa_2(V) ~ 8e7, log path."""
-    graph = LipschitzGraph.sawtooth(1.1, 2, 2.2)
-    return build_domain(DomainConfig(graph, 5.0, 5.0, 0.1, (0.0, 2.1)))
-
-
-@pytest.fixture(scope="module")
-def saw_tall():
-    return _saw_tall_domain()
-
-
 def test_b_segment_rejects_empty_segment(flat_small):
     domain, u = flat_small
     with pytest.raises(ConfigError):
@@ -304,11 +293,6 @@ def _refined_power_b(domain, u, a, b, n=6, sub=2):
             for t, wq in zip(nodes, wts):
                 total = total + hw * wq * K.build_b(domain, u, mid + hw * t, "power").entries
     return total
-
-
-@pytest.fixture(scope="module")
-def saw_tall_u(saw_tall):
-    return saw_tall, harmonic_extension(saw_tall, arc_indicator(saw_tall, -1.0, 1.0))
 
 
 # (grid, segment with ends on multiples of h/2): the flat grid takes the eigen
@@ -373,6 +357,16 @@ def test_log_path_powers_match_schur_pade(saw_tall):
         assert _rel_sup(domain.power_rows(y), ref) <= 1e-12
 
 
+@pytest.mark.parametrize("grid", ["kernel_flat", "saw_tall_u"], ids=["eigen", "log"])
+def test_row_power_matches_power_rows(grid, request):
+    domain, _ = request.getfixturevalue(grid)
+    rows = np.random.default_rng(3).standard_normal((2, domain.nx))
+    for s in (0.0, 0.25, 3.0, 6.6, 7.875):
+        ref = rows @ domain.power_rows(s * domain.h)
+        assert _rel_sup(domain.row_power(rows, s), ref) <= 1e-12
+        assert _rel_sup(domain.row_power(rows[0], s), ref[0]) <= 1e-12
+
+
 def test_log_path_semigroup(saw_tall):
     # fractional parts 0.7 + 0.1 and, with a carry into G^n, 0.7 + 0.5
     domain = saw_tall
@@ -390,11 +384,11 @@ def test_log_path_on_a_defective_eigenbasis():
     assert _rel_sup(domain.power_rows(0.37), ref) <= 1e-12
 
 
-def test_log_path_rejects_an_inaccurate_logarithm(monkeypatch):
+def test_log_path_rejects_an_inaccurate_logarithm(saw_tall, monkeypatch):
     logm = sla.logm
     monkeypatch.setattr(sla, "logm", lambda G: logm(G) * (1.0 + 1e-9))
     with pytest.raises(ConvergenceError):
-        _saw_tall_domain().power_rows(0.25)
+        build_domain(saw_tall.config).power_rows(0.25)
 
 
 @pytest.mark.parametrize("graph, pole, path", [

@@ -14,14 +14,16 @@ from lipvar.domain_field import (
     build_domain,
     grid,
     harmonic_extension,
+    kernel_measure,
 )
-from lipvar.errors import ConfigError, ConvergenceError
+from lipvar.errors import ConfigError, ConvergenceError, ResolutionError
 from lipvar.omega import (
     OmegaLadder,
     OmegaWorkspace,
     _workspace,
     Partition,
     Segment,
+    adjoint_sweep,
     cross_boundary_data,
     dyadic_partition,
     find_positive_epsilon,
@@ -406,3 +408,63 @@ def test_ladder_identity_at_top(flat_small):
     ladder = OmegaLadder(domain, u, EPS, [0.5])
     f = u.rows(0.3)
     assert np.abs(ladder.apply(1.0, f) - f).max() < 1e-10
+
+
+# -- the adjoint sweep ----------------------------------------------------------------------
+
+SWEEP_GRIDS = pytest.mark.parametrize("grid", ["flat_small", "saw_tall_u"],
+                                      ids=["eigen", "log"])
+
+
+def _rel_sup(a, ref):
+    return float(np.abs(a - ref).max() / np.abs(ref).max())
+
+
+@SWEEP_GRIDS
+def test_adjoint_sweep_matches_romberg_over_pi_products(grid, request):
+    # Pi_n is a first-order splitting: two Richardson steps over Pi_8..Pi_10
+    # reach its limit to a few 1e-8 on these grids (one step and two differ
+    # by 2.6e-8 on flat_small and 4.1e-8 on saw_tall)
+    domain, u = request.getfixturevalue(grid)
+    kappa = kernel_measure(domain, (0.0, 1.0)).s_masses
+    seg = Segment(0.4, 1.0)
+    rows = {n: pi_product(domain, u, seg, dyadic_partition(seg, n), EPS).entries.T @ kappa
+            for n in (8, 9, 10)}
+    first = {n: 2 * rows[n] - rows[n - 1] for n in (9, 10)}
+    romberg = (4 * first[10] - first[9]) / 3
+    (gamma,), _ = adjoint_sweep(domain, u, EPS, kappa, [0.4])
+    assert _rel_sup(gamma, romberg) <= 1e-7
+
+
+@SWEEP_GRIDS
+def test_adjoint_sweep_at_eps_zero_is_a_kernel_row(grid, request):
+    domain, u = request.getfixturevalue(grid)
+    kappa = kernel_measure(domain, (0.0, 1.0)).s_masses
+    ys = (0.4, 0.25, 0.2)
+    gammas, steps = adjoint_sweep(domain, u, 0.0, kappa, ys)
+    assert steps == 20  # 12 h/2 cells down to 4h = 0.4, then 4 cells of two steps
+    for y, gamma in zip(ys, gammas):
+        krow = K.build_k(domain, 1.0 - y, "power").entries.T @ kappa
+        assert _rel_sup(gamma, krow) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", ["kernel_flat", "readme_saw"], ids=["eigen", "log"])
+def test_adjoint_sweep_off_kink_converges(grid, request):
+    # h = 0.05: both points lie inside h/2 cells and above the 2h floor
+    domain, u = request.getfixturevalue(grid)
+    kappa = kernel_measure(domain, (0.0, 1.0)).s_masses
+    ys = (0.33, 0.17)
+    gammas, steps = adjoint_sweep(domain, u, EPS, kappa, ys)
+    halved, halved_steps = adjoint_sweep(domain, u, EPS, kappa, ys, substeps=2)
+    assert halved_steps == 2 * steps
+    for gamma, ref in zip(gammas, halved):
+        assert _rel_sup(gamma, ref) <= 1e-8
+
+
+def test_adjoint_sweep_rejects_heights_off_the_range(flat_small):
+    domain, u = flat_small
+    kappa = kernel_measure(domain, (0.0, 1.0)).s_masses
+    with pytest.raises(ResolutionError):
+        adjoint_sweep(domain, u, EPS, kappa, [0.4, 0.15])
+    with pytest.raises(ConfigError):
+        adjoint_sweep(domain, u, EPS, kappa, [1.2, 0.4])
