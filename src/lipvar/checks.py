@@ -306,7 +306,8 @@ def _omega(cfg, domain, u, rng):
 
     def rho():
         rb = omega_rho_bounds(domain, u, 0.25, eps)
-        return rb["c_plus"], rb["c_plus"] > 0 and rb["c_minus"] > 0, {"c_minus": rb["c_minus"]}
+        return (rb["c_plus"], rb["c_plus"] > 0 and rb["c_minus"] > 0,
+                {"c_minus": rb["c_minus"], "steps": rb["steps"]})
 
     yield "tilde_normalization", "|Otilde(1)-1| <= 1e-3", lambda: _at_most(
         _unit_error(omega_tilde(domain, u, seg, eps)), 1e-3)

@@ -107,25 +107,26 @@ class LipschitzGraph:
 
     def distance(self, points, offset: float = 0.0):
         """Exact Euclidean distance from points (n,2) to the graph polyline."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        a, b = self.segments(offset)
-        d = b - a  # (m,2)
-        len2 = np.maximum((d ** 2).sum(axis=1), 1e-300)
-        ap = p[:, None, :] - a[None, :, :]  # (n,m,2)
-        t = np.clip((ap * d[None, :, :]).sum(axis=2) / len2[None, :], 0.0, 1.0)
-        proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-        dist = np.linalg.norm(p[:, None, :] - proj, axis=2)
-        return dist.min(axis=1)
+        return self._nearest(points, offset)[0]
 
     def project(self, points, offset: float = 0.0):
         """Nearest boundary point for each input point: returns (n,2) array."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        a, b = self.segments(offset)
-        d = b - a
-        len2 = np.maximum((d ** 2).sum(axis=1), 1e-300)
-        ap = p[:, None, :] - a[None, :, :]
-        t = np.clip((ap * d[None, :, :]).sum(axis=2) / len2[None, :], 0.0, 1.0)
-        proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-        dist = np.linalg.norm(p[:, None, :] - proj, axis=2)
-        best = np.argmin(dist, axis=1)
-        return proj[np.arange(len(p)), best]
+        return self._nearest(points, offset)[1]
+
+    def _nearest(self, points, offset):
+        """Distance to the polyline and the nearest point on it, one segment
+        at a time.  Segments are compared by the norm itself, not its square,
+        and a tie keeps the first segment's point."""
+        p = np.atleast_2d(np.asarray(points, dtype=float)).T  # (2, n)
+        dist = np.full(p.shape[1], np.inf)
+        proj = np.empty_like(p)
+        for (ax, ay), (bx, by) in zip(*self.segments(offset)):
+            dx, dy = bx - ax, by - ay
+            t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / max(dx * dx + dy * dy, 1e-300)
+            q = np.clip(t, 0.0, 1.0) * [[dx], [dy]] + [[ax], [ay]]
+            e = p - q
+            d = np.sqrt(e[0] * e[0] + e[1] * e[1])
+            closer = d < dist
+            np.copyto(dist, d, where=closer)
+            np.copyto(proj, q, where=closer)
+        return dist, proj.T

@@ -53,11 +53,6 @@ class Segment:
     def length(self) -> float:
         return self.M - self.m
 
-    @property
-    def ratio(self) -> float:
-        """Aspect |seg| / m(seg) controlling the perturbation estimates."""
-        return self.length / self.m
-
     def contains(self, other: "Segment") -> bool:
         return self.m <= other.m + 1e-12 and other.M <= self.M + 1e-12
 
@@ -262,44 +257,37 @@ def omega_limit(domain: DiscreteDomain, u: HarmonicField, seg: Segment,
 
 
 class OmegaLadder:
-    """Prefix family Omega_{[y, 1]} assembled from elementary segments.
+    """Prefix family Omega_{[y, 1]} at a set of ladder points, built once per
+    (u, eps) and read by the differential-equation check and
+    ``omega_rho_bounds``.
 
-    The segment semigroup lets the family be built once per (u, eps) from
-    elementary dyadic limits between consecutive ladder points and reused by
-    the differential-equation check and ``omega_rho_bounds``.  The measure
-    transforms need only kappa^T Omega_[y,1] and take ``adjoint_sweep``.
+    Omega_[y,1] W is the matrix whose rows the adjoint sweep carries down
+    from the identity masses, so one ``adjoint_sweep`` of that stack returns
+    the whole family; ``steps`` is its step count.
     """
 
-    def __init__(self, domain: DiscreteDomain, u: HarmonicField, eps: float,
-                 points, tol: float = OMEGA_TOL):
+    def __init__(self, domain: DiscreteDomain, u: HarmonicField, eps: float, points):
         pts = sorted({round(float(p), 12) for p in points} | {1.0})
-        if pts[0] < 2 * domain.h - 1e-12:
-            raise ResolutionError("ladder foot below the 2h floor")
-        if pts[-1] > 1.0 + 1e-12:
-            raise ConfigError("ladder points must lie in (0, 1]")
         self.domain = domain
-        self.u = u
         self.eps = eps
         self.points = pts
-        self.ws = _workspace(domain, u)
-        self._omega_at = {}
-        cur = K.identity_kernel(domain).entries  # Omega over the empty segment [1, 1]
-        self._omega_at[1.0] = cur
-        for a, b in zip(pts[-2::-1], pts[::-1]):
-            ent, _, _ = self.ws.omega_entries(Segment(a, b), eps, tol)
-            cur = self.ws.compose_entries(cur, ent)
-            self._omega_at[a] = cur
+        gammas, self.steps = adjoint_sweep(domain, u, eps, np.eye(domain.nx), pts)
+        self._omega_at = dict(zip(pts, gammas))
 
-    def omega_y(self, y: float) -> K.BoundaryKernel:
+    def _key(self, y):
         key = round(float(y), 12)
         if key not in self._omega_at:
             raise ConfigError(f"{y} is not a ladder point {self.points}")
+        return key
+
+    def omega_y(self, y: float) -> K.BoundaryKernel:
+        key = self._key(y)
         return K.BoundaryKernel(self.domain, self._omega_at[key], kind="omega",
                                 signed=self.eps > 0,
                                 meta={"segment": (key, 1.0), "eps": self.eps})
 
     def apply(self, y: float, f):
-        return self._omega_at[round(float(y), 12)] @ (self.domain.hm_weights * f)
+        return self._omega_at[self._key(y)] @ (self.domain.hm_weights * f)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +323,8 @@ def _sweep_cuts(domain, ys, substeps):
 def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
                   kappa_masses, ys, substeps: int = 1):
     """Densities gamma_y of the adjoint images of kappa under Omega_[y,1], at
-    every height of ys, from one downward sweep of a row vector.
+    every height of ys, from one downward sweep of a row vector, or of a
+    stack of rows (``kappa_masses`` on its last axis).
 
     The masses rho_y = kappa^T (Omega_[y,1] W) of the transformed measure
     solve rho' = -rho A(y) down from rho_1 = kappa, where in mass form
@@ -345,6 +334,7 @@ def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
     by Lawson's fourth-order Runge-Kutta, an exponential integrator, with one
     step per h/2 cell and two below 4h, cut at every point of ys.
     ``substeps`` cuts every step further, for the step-halving estimate.
+    At eps = 0 there is no eps-part, and a step is the k-part alone.
 
     Returns (gammas, steps): gammas[i] is the density at ys[i] against the
     pole measure (rho / ``safe_weights``, zero on the excluded nodes).
@@ -373,22 +363,26 @@ def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
 
     cuts, seq = _sweep_cuts(domain, ys, substeps)
     r = np.array(kappa_masses, dtype=float)
-    r[excl] = 0.0
-    rho = {cuts[0]: r}
-    n_top = coupling(cuts[0])
+    r[..., excl] = 0.0
+    rho = {cuts[0]: r} if cuts[0] in seq else {}  # kept at the points of ys only
+    n_top = coupling(cuts[0]) if eps else None
     for ta, tb in zip(cuts[:-1], cuts[1:]):
         d = (ta - tb) * half
         theta = (ta - tb) / 4  # G^theta carries rho down half a step
-        n_mid, n_bot = coupling((ta + tb) / 2), coupling(tb)
-        rp, k1p = domain.row_power(np.stack([r, n_top(r)]), theta)
-        k2 = n_mid(rp + d / 2 * k1p)
-        k3 = n_mid(rp + d / 2 * k2)
-        k4 = n_bot(domain.row_power(rp + d * k3, theta))
-        r = domain.row_power(rp + d / 6 * k1p + d / 3 * (k2 + k3), theta) + d / 6 * k4
-        rho[tb] = r
-        n_top = n_bot
+        if eps:
+            n_mid, n_bot = coupling((ta + tb) / 2), coupling(tb)
+            rp, k1p = domain.row_power(np.stack([r, n_top(r)]), theta)
+            k2 = n_mid(rp + d / 2 * k1p)
+            k3 = n_mid(rp + d / 2 * k2)
+            k4 = n_bot(domain.row_power(rp + d * k3, theta))
+            r = domain.row_power(rp + d / 6 * k1p + d / 3 * (k2 + k3), theta) + d / 6 * k4
+            n_top = n_bot
+        else:
+            r = domain.row_power(r, 2 * theta)
+        if tb in seq:
+            rho[tb] = r
     gammas = np.stack([rho[t] for t in seq]) / domain.safe_weights
-    gammas[:, excl] = 0.0
+    gammas[..., excl] = 0.0
     return gammas, len(cuts) - 1
 
 
@@ -398,20 +392,18 @@ def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
 
 
 def omega_rho_bounds(domain: DiscreteDomain, u: HarmonicField, rho: float,
-                     eps: float, tol: float = OMEGA_TOL) -> dict:
+                     eps: float) -> dict:
     """Two-sided comparison of omega_[rho,1] with k_{1-rho}.
 
-    Builds omega_rho by the doubling chain rho, 2 rho, 4 rho, ..., 1 and
-    returns the smallest c_plus and largest c_minus with
+    Returns the smallest c_plus and largest c_minus with
 
-        c_minus rho^(c_minus eps) k <= omega_rho <= c_plus rho^(-c_plus eps) k.
+        c_minus rho^(c_minus eps) k <= omega_rho <= c_plus rho^(-c_plus eps) k,
+
+    and the ladder's sweep step count as ``steps``.
     """
     if not (0 < rho < 0.5):
         raise ConfigError("rho must lie in (0, 1/2)")
-    pts = [rho]
-    while pts[-1] * 2 < 1.0 - 1e-12:
-        pts.append(pts[-1] * 2)
-    ladder = OmegaLadder(domain, u, eps, pts, tol=tol)
+    ladder = OmegaLadder(domain, u, eps, [rho])
     om = ladder.omega_y(rho).entries
     kref = K.build_k(domain, 1.0 - rho, "power").entries
     floor = 1e-9 * kref.max()
@@ -432,7 +424,7 @@ def omega_rho_bounds(domain: DiscreteDomain, u: HarmonicField, rho: float,
             g = lambda c: c * rho ** (c * eps) - rmin
             c_minus = c_star if g(c_star) < 0 else brentq(g, 1e-12, c_star)
     return {"rho": rho, "eps": eps, "c_plus": c_plus, "c_minus": c_minus,
-            "sup_ratio": rmax, "inf_ratio": rmin}
+            "sup_ratio": rmax, "inf_ratio": rmin, "steps": ladder.steps}
 
 
 def cross_boundary_data(domain: DiscreteDomain, y_shift: float, arc=(-1.0, 1.0)):
@@ -488,12 +480,13 @@ def phi_property_check(domain: DiscreteDomain, u: HarmonicField, psi, seg: Segme
 
 
 def ode_check(domain: DiscreteDomain, u: HarmonicField, phi: HarmonicField,
-              eps: float, y_grid, tol: float = OMEGA_TOL) -> dict:
+              eps: float, y_grid) -> dict:
     """Residual of d/dy Omega_y(phi_y) = eps Omega_y(B_y(phi_y)) on a y-grid.
 
     Central differences across the uniformly spaced grid are compared with
     the right-hand side at interior grid points.  Also evaluates the
     comparison bound Omega_eta(phi_y) <= (1 + C) Omega_y(phi_y) for eta < y.
+    ``steps`` is the ladder's sweep step count.
     """
     ys = np.asarray(sorted(float(v) for v in y_grid))
     if len(ys) < 5:
@@ -501,7 +494,7 @@ def ode_check(domain: DiscreteDomain, u: HarmonicField, phi: HarmonicField,
     steps = np.diff(ys)
     if np.abs(steps - steps[0]).max() > 1e-9:
         raise ConfigError("y-grid must be uniformly spaced")
-    ladder = OmegaLadder(domain, u, eps, ys, tol=tol)
+    ladder = OmegaLadder(domain, u, eps, ys)
     keep = np.ones(domain.nx, dtype=bool)
     keep[domain.excluded_nodes] = False
 
@@ -510,7 +503,8 @@ def ode_check(domain: DiscreteDomain, u: HarmonicField, phi: HarmonicField,
     for y in ys:
         phi_y = phi.rows(y)
         f[y] = ladder.apply(y, phi_y)
-        rhs[y] = eps * ladder.apply(y, K.apply_b(domain, u, y, phi_y, "power"))
+        rhs[y] = (eps * ladder.apply(y, K.apply_b(domain, u, y, phi_y, "power"))
+                  if eps else np.zeros(domain.nx))
     abs_res = 0.0
     rhs_sup = max(float(np.abs(rhs[y])[keep].max()) for y in ys)
     for lo, mid, hi in zip(ys[:-2], ys[1:-1], ys[2:]):
@@ -531,7 +525,7 @@ def ode_check(domain: DiscreteDomain, u: HarmonicField, phi: HarmonicField,
 
     return {"eps": eps, "abs_residual": abs_res, "rel_residual": rel_res,
             "rhs_sup": rhs_sup, "comparison_constant": comp_c,
-            "y_grid": [float(v) for v in ys]}
+            "y_grid": [float(v) for v in ys], "steps": ladder.steps}
 
 
 def find_positive_epsilon(domain: DiscreteDomain, u: HarmonicField,

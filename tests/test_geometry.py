@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,3 +76,32 @@ def test_projection_lands_on_graph():
     pts = np.array([[0.1, 1.0], [-0.4, 0.8], [3.0, 0.2]])
     proj = g.project(pts)
     assert np.allclose(g(proj[:, 0]), proj[:, 1], atol=1e-9)
+
+
+def _nearest_brute(graph, x, y):
+    """Nearest point of the polyline to (x, y), one segment at a time in plain
+    floats: the first segment of least distance wins."""
+    best = (math.inf, None)
+    for (ax, ay), (bx, by) in zip(*graph.segments()):
+        dx, dy = bx - ax, by - ay
+        t = min(max(((x - ax) * dx + (y - ay) * dy) / max(dx * dx + dy * dy, 1e-300), 0.0), 1.0)
+        qx, qy = ax + t * dx, ay + t * dy
+        d = math.sqrt((x - qx) * (x - qx) + (y - qy) * (y - qy))
+        if d < best[0]:
+            best = (d, (qx, qy))
+    return best
+
+
+@pytest.mark.parametrize("n_teeth", [1, 3])
+def test_nearest_point_matches_brute_force(n_teeth):
+    g = LipschitzGraph.sawtooth(0.5, n_teeth, 1.0)
+    rng = np.random.default_rng(7)
+    pts = np.column_stack([rng.uniform(-3, 3, 300), rng.uniform(-0.6, 3, 300)])
+    # above every kink two segments tie, in exact arithmetic
+    above = [(x, y + lift) for x, y in g.breakpoints for lift in (0.01, 0.1, 0.37, 1.0)]
+    pts = np.concatenate([pts, above])
+    dist, proj = g.distance(pts), g.project(pts)
+    for (x, y), d, q in zip(pts, dist, proj):
+        ref_d, ref_q = _nearest_brute(g, float(x), float(y))
+        assert d == ref_d
+        assert tuple(q) == ref_q

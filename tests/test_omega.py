@@ -48,7 +48,6 @@ def test_segment_validation():
         Segment(0.5, 0.5)
     s = Segment(0.25, 0.75)
     assert s.length == pytest.approx(0.5)
-    assert s.ratio == pytest.approx(2.0)
 
 
 def test_dyadic_partition_plain():
@@ -468,3 +467,65 @@ def test_adjoint_sweep_rejects_heights_off_the_range(flat_small):
         adjoint_sweep(domain, u, EPS, kappa, [0.4, 0.15])
     with pytest.raises(ConfigError):
         adjoint_sweep(domain, u, EPS, kappa, [1.2, 0.4])
+
+
+@pytest.mark.parametrize("grid", ["flat_small", "saw_tall_u"], ids=["eigen", "log"])
+def test_adjoint_sweep_of_a_stack_sweeps_each_row(grid, request):
+    domain, u = request.getfixturevalue(grid)
+    stack = np.stack([kernel_measure(domain, (x, 1.0)).s_masses for x in (-2.5, 0.0, 2.5)])
+    ys = (0.5, 0.3)
+    gammas, steps = adjoint_sweep(domain, u, EPS, stack, ys)
+    assert gammas.shape == (len(ys), len(stack), domain.nx)
+    for i, kappa in enumerate(stack):
+        alone, alone_steps = adjoint_sweep(domain, u, EPS, kappa, ys)
+        assert alone_steps == steps
+        for y in range(len(ys)):
+            assert _rel_sup(gammas[y, i], alone[y]) <= 1e-12
+
+
+# -- the ladder from the sweep --------------------------------------------------------------
+
+
+@SWEEP_GRIDS
+def test_ladder_matches_romberg_over_pi_products(grid, request):
+    # the same two Richardson steps as the sweep's test above, on the matrices
+    domain, u = request.getfixturevalue(grid)
+    seg = Segment(0.4, 1.0)
+    pis = {n: pi_product(domain, u, seg, dyadic_partition(seg, n), EPS).entries
+           for n in (8, 9, 10)}
+    first = {n: 2 * pis[n] - pis[n - 1] for n in (9, 10)}
+    romberg = (4 * first[10] - first[9]) / 3
+    romberg[domain.excluded_nodes, :] = 0.0  # the ladder's rows start from the identity
+    ladder = OmegaLadder(domain, u, EPS, [0.4])
+    assert _rel_sup(ladder.omega_y(0.4).entries, romberg) <= 1e-7
+
+
+@SWEEP_GRIDS
+def test_ladder_at_eps_zero_is_the_power_kernel(grid, request):
+    domain, u = request.getfixturevalue(grid)
+    ys = (0.4, 0.25, 0.2)
+    ladder = OmegaLadder(domain, u, 0.0, ys)
+    for y in ys:
+        kref = K.build_k(domain, 1.0 - y, "power").entries
+        kref[domain.excluded_nodes, :] = 0.0
+        assert _rel_sup(ladder.omega_y(y).entries, kref) <= 1e-12
+
+
+def test_ode_check_at_eps_zero_reads_no_stencil(flat_small, monkeypatch):
+    domain, u = flat_small
+
+    def refuse(self, y):
+        raise AssertionError("the eps = 0 ladder read a stencil row")
+
+    monkeypatch.setattr(grid.DiscreteDomain, "stencil_rows", refuse)
+    res = ode_check(domain, u, u, 0.0, np.round(np.arange(0.3, 0.91, 0.1), 10))
+    assert res["steps"] == 16  # 12 h/2 cells down to 4h = 0.4, then 2 cells of two steps
+
+
+def test_ladder_rejects_heights_off_its_points(flat_small):
+    domain, u = flat_small
+    ladder = OmegaLadder(domain, u, EPS, [0.5])
+    with pytest.raises(ConfigError):
+        ladder.omega_y(0.4)
+    with pytest.raises(ConfigError):
+        ladder.apply(0.4, u.rows(0.4))
