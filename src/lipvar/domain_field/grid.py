@@ -181,8 +181,7 @@ class DiscreteDomain:
         self._weights = None
         self._eig = None
         self._log = None
-        self._fractions = None
-        self._row_fractions = {}
+        self._fractions = {}
         self._powers = {}
 
     # -- construction checks ---------------------------------------------------
@@ -507,60 +506,52 @@ class DiscreteDomain:
         return self._log
 
     def power_rows(self, y):
-        """G^(y/h) where G is the one-grid-step exit operator.
+        """G^(y/h) where G is the one-grid-step exit operator, cached by height.
 
         Fractional powers are functions of G, so the family satisfies the
         composition semigroup exactly (to rounding); the whole omega
-        construction is built on it.  On the eigen path G^s = V diag(λ^s) V⁻¹.
-        On the log path (ill-conditioned eigenbases) integer powers are
-        repeated products and G^s = G^⌊s⌋ · expm((s − ⌊s⌋) · log G), with
-        log G computed once per domain.  Note fractional powers of a
-        Markov matrix may carry small negative lobes; positivity findings
-        always refer to the assembled kernels, not to these factors.
+        construction is built on it.  The power is ``row_power``'s, kept here
+        under the height rounded to 12 digits and computed from that key.
+        Note fractional powers of a Markov matrix may carry small negative
+        lobes; positivity findings always refer to the assembled kernels, not
+        to these factors.
         """
         key = round(float(y), 12)
         if key in self._powers:
             return self._powers[key]
-        if key == 0.0:
-            out = np.eye(self.nx)
-        else:
-            eig = self._eigensystem()
-            # from the key: a cached row is the same whichever y filled it
-            s = key / self.h
-            if eig != "schur":
-                vals, V, Vinv = eig
-                out = ((V * vals ** s) @ Vinv).real
-            elif abs(s - round(s)) < 1e-12:
-                out = self._integer_power(int(round(s)))
-            else:
-                n = int(np.floor(s))
-                frac = sla.expm((s - n) * self._log_generator())
-                out = np.real(self._integer_power(n) @ frac)
+        # from the key: a cached row is the same whichever y filled it
+        out = np.eye(self.nx) if key == 0.0 else self.row_power(None, key / self.h)
         if len(self._powers) > 160:
             self._powers.clear()
         self._powers[key] = out
         return out
 
     def row_power(self, v, s):
-        """v · G^s for a row vector v (or a stack of rows), without forming G^s.
+        """v · G^s for rows v, or G^s itself when v is None.
 
-        On the eigen path ((v V) λ^s) V⁻¹.  On the log path v · G^⌊s⌋ times
-        expm(f log G) for the fraction f = s − ⌊s⌋: the integer power comes
-        from ``_integer_power``, the fraction's matrix from a per-domain table
-        keyed by f rounded to 12 digits, and built from that key.
+        The one place where powers of G are formed; v is a row vector or a
+        stack of rows.  On the eigen path ((v V) λ^s) V⁻¹.  On the log path
+        (ill-conditioned eigenbases) s = n + f, an s within 1e-9 of an integer
+        counting as that integer: G^n comes from ``_integer_power`` (repeated
+        products), and expm(f log G) from a per-domain table keyed by f
+        rounded to 12 digits, and built from that key.
         """
         eig = self._eigensystem()
         if eig != "schur":
             vals, V, Vinv = eig
-            return (((v @ V) * vals ** s) @ Vinv).real
+            left = V if v is None else v @ V
+            return ((left * vals ** s) @ Vinv).real
         n = int(np.floor(s + 1e-9))
         f = round(s - n, 12)
-        out = v @ self._integer_power(n) if n else np.array(v, dtype=float)
+        if v is None:
+            out = self._integer_power(n) if n else None
+        else:
+            out = v @ self._integer_power(n) if n else np.array(v, dtype=float)
         if f > 1e-9:
-            if f not in self._row_fractions:
-                self._row_fractions[f] = np.real(sla.expm(f * self._log_generator()))
-            out = out @ self._row_fractions[f]
-        return out
+            if f not in self._fractions:
+                self._fractions[f] = np.real(sla.expm(f * self._log_generator()))
+            out = self._fractions[f] if out is None else out @ self._fractions[f]
+        return np.eye(self.nx) if out is None else out
 
     def _integer_power(self, n):
         """G^n, kept in the power cache under the height n*h."""
@@ -601,28 +592,11 @@ class DiscreteDomain:
     def cell_powers(self, k):
         """G^(y/h) at the four nodes of height cell k, stacked (4, nx, nx).
 
-        Computed afresh, outside the ``power_rows`` cache.  On the eigen path
-        each is V diag(λ^s) V⁻¹.  On the log path a node sits a fraction
-        f = (k mod 2 + (1 + t_i)/2) / 2 of a step above G^⌊k/2⌋, one of eight
-        values, so its power is G^⌊k/2⌋ times one of the eight matrices
-        expm(f log G) that ``_fraction_table`` keeps per domain.
+        ``row_power`` at each node, outside the ``power_rows`` cache.  On the
+        log path the nodes of every cell sit one of eight fractions of a step
+        above an integer power, so they share eight fraction-table entries.
         """
-        eig = self._eigensystem()
-        if eig != "schur":
-            vals, V, Vinv = eig
-            return np.stack([((V * vals ** (y / self.h)) @ Vinv).real
-                             for y in self.cell_nodes(k)])
-        return self._integer_power(k // 2) @ self._fraction_table()[k % 2]
-
-    def _fraction_table(self):
-        """expm(f log G) at the eight node fractions f, shaped (2, 4, nx, nx)."""
-        if self._fractions is None:
-            L = self._log_generator()
-            self._fractions = np.stack([
-                np.stack([np.real(sla.expm((parity + (1 + t) / 2) / 2 * L))
-                          for t in _GAUSS_T])
-                for parity in (0, 1)])
-        return self._fractions
+        return np.stack([self.row_power(None, y / self.h) for y in self.cell_nodes(k)])
 
 
 class _Wing:
@@ -1042,13 +1016,18 @@ class HarmonicField:
 
 @dataclass
 class BoundaryMeasure:
-    """Nonnegative masses on the boundary mesh, with tracked box leakage."""
+    """Nonnegative masses on the boundary mesh, with tracked box leakage.
+
+    ``density`` is gamma, the density of the masses against the pole measure,
+    where a construction has it (the transformed measures).
+    """
 
     domain: DiscreteDomain
     s_masses: np.ndarray
     box_side_mass: float = 0.0
     box_top_mass: float = 0.0
     stderr: np.ndarray | None = None
+    density: np.ndarray | None = None
 
     @property
     def s_total(self) -> float:
@@ -1069,10 +1048,6 @@ class BoundaryMeasure:
         hi = np.minimum(d.xs + d.h / 2, b)
         frac = np.clip((hi - lo) / d.h, 0.0, 1.0)
         return float(np.dot(frac, self.s_masses))
-
-    def density(self):
-        """Masses per unit arc length."""
-        return self.s_masses / self.domain.arc_weights
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ class BoundaryKernel:
     domain: DiscreteDomain
     entries: np.ndarray
     kind: str = "k"
-    signed: bool = False
     meta: dict = field(default_factory=dict)
 
     @property
@@ -114,7 +113,6 @@ def compose(p: BoundaryKernel, q: BoundaryKernel) -> BoundaryKernel:
     w = p.weights
     entries = (p.entries * w[None, :]) @ q.entries
     return BoundaryKernel(p.domain, entries, kind=f"{p.kind}*{q.kind}",
-                          signed=p.signed or q.signed,
                           meta={"left": p.meta, "right": q.meta})
 
 
@@ -129,11 +127,7 @@ def build_c(domain: DiscreteDomain, u: HarmonicField, y: float) -> BoundaryKerne
     sx, sy, _ = u.sigma_rows(2 * y)
     dx, dy = domain.stencil_rows(y)
     rows = sx[:, None] * dx + sy[:, None] * dy
-    dead = (sx == 0.0) & (sy == 0.0)
-    if np.any(dead):
-        rows[dead, :] = 0.0
-    return BoundaryKernel(domain, _mass_to_kernel(domain, rows), kind="c",
-                          signed=True, meta={"y": y})
+    return BoundaryKernel(domain, _mass_to_kernel(domain, rows), kind="c", meta={"y": y})
 
 
 def build_b(domain: DiscreteDomain, u: HarmonicField, y: float,
@@ -181,7 +175,7 @@ def build_b_segment(domain: DiscreteDomain, u: HarmonicField, segment,
         raise ResolutionError(f"segment lower endpoint {a} below the 2h floor")
     rule = domain.height_rule(a, b)
     entries = cell_sum(rule, lambda k: cell_kernels(domain, u, k, family))
-    return BoundaryKernel(domain, entries, kind="b_segment", signed=True,
+    return BoundaryKernel(domain, entries, kind="b_segment",
                           meta={"segment": (a, b), "panels": len(rule),
                                 "family": family})
 
@@ -224,9 +218,9 @@ class HarnackFit:
         return ratio_sup <= (1 + slack) * self.c * (y2 / y1) ** self.alpha
 
 
-def _ratio_sup(domain, y1, y2, core, family):
-    k1 = mass_rows(domain, y1, family)[core, :]
-    k2 = mass_rows(domain, y2, family)[core, :]
+def _ratio_sup(domain, y1, y2, core):
+    k1 = mass_rows(domain, y1)[core, :]
+    k2 = mass_rows(domain, y2)[core, :]
     w = domain.hm_weights
     floor = 1e-11 * w.sum()
     mask = (k1 > floor) & (k2 > floor)
@@ -237,8 +231,8 @@ def _ratio_sup(domain, y1, y2, core, family):
     return float(r.max())
 
 
-def harnack_alpha(domain: DiscreteDomain, y_pairs, core_halfwidth: float | None = None,
-                  family: str = "martin") -> HarnackFit:
+def harnack_alpha(domain: DiscreteDomain, y_pairs,
+                  core_halfwidth: float | None = None) -> HarnackFit:
     """Fit (alpha, c) so that sup k_{y2}/k_{y1} <= c (y2/y1)^alpha on samples.
 
     A least-squares fit of log ratio against log(y2/y1) gives alpha; c is then
@@ -259,7 +253,7 @@ def harnack_alpha(domain: DiscreteDomain, y_pairs, core_halfwidth: float | None 
 
     logs, sups = [], []
     for y1, y2 in pairs:
-        sup = _ratio_sup(domain, y1, y2, core, family)
+        sup = _ratio_sup(domain, y1, y2, core)
         sups.append(sup)
         logs.append(np.log(y2 / y1))
     logs = np.array(logs)
@@ -279,13 +273,13 @@ def harnack_alpha(domain: DiscreteDomain, y_pairs, core_halfwidth: float | None 
 
 
 def harnack_violations(domain: DiscreteDomain, fit: HarnackFit, y_pairs,
-                       slack: float = 0.01, family: str = "martin") -> float:
+                       slack: float = 0.01) -> float:
     """Fraction of held-out pairs violating the fitted bound beyond slack."""
     core = np.abs(domain.xs) <= fit.core_halfwidth
     bad = 0
     pairs = list(y_pairs)
     for y1, y2 in pairs:
-        sup = _ratio_sup(domain, float(y1), float(y2), core, family)
+        sup = _ratio_sup(domain, float(y1), float(y2), core)
         if not fit.bound_holds(sup, y1, y2, slack):
             bad += 1
     return bad / len(pairs)

@@ -216,7 +216,7 @@ def omega_tilde(domain: DiscreteDomain, u: HarmonicField, seg: Segment,
         raise ConfigError("eps must be nonnegative")
     ws = _workspace(domain, u)
     return K.BoundaryKernel(domain, ws.omega_tilde_entries(seg, eps),
-                            kind="omega_tilde", signed=eps > 0,
+                            kind="omega_tilde",
                             meta={"segment": (seg.m, seg.M), "eps": eps})
 
 
@@ -228,7 +228,6 @@ def pi_product(domain: DiscreteDomain, u: HarmonicField, seg: Segment,
         raise ConfigError("partition does not cover the requested segment")
     ws = _workspace(domain, u)
     return K.BoundaryKernel(domain, ws.pi_entries(partition, eps), kind="pi",
-                            signed=eps > 0,
                             meta={"segment": (seg.m, seg.M), "eps": eps,
                                   "K": len(partition.segments)})
 
@@ -245,7 +244,7 @@ def omega_limit(domain: DiscreteDomain, u: HarmonicField, seg: Segment,
     entries, history, scale = ws.omega_entries(seg, eps, tol, n_max)
     diffs = [d for _, d in history]
     ratios = [b / a for a, b in zip(diffs[:-1], diffs[1:]) if a > 0]
-    return K.BoundaryKernel(domain, entries, kind="omega", signed=eps > 0,
+    return K.BoundaryKernel(domain, entries, kind="omega",
                             meta={"segment": (seg.m, seg.M), "eps": eps,
                                   "history": history, "decay_ratios": ratios,
                                   "scale": scale})
@@ -283,7 +282,6 @@ class OmegaLadder:
     def omega_y(self, y: float) -> K.BoundaryKernel:
         key = self._key(y)
         return K.BoundaryKernel(self.domain, self._omega_at[key], kind="omega",
-                                signed=self.eps > 0,
                                 meta={"segment": (key, 1.0), "eps": self.eps})
 
     def apply(self, y: float, f):

@@ -92,9 +92,7 @@ def transform_measure(domain: DiscreteDomain, u: HarmonicField,
     if abs(kappa.total - 1.0) > 1e-6:
         raise ConfigError("kappa must be a probability measure")
     (gamma,), _ = adjoint_sweep(domain, u, eps, kappa.s_masses, [y])
-    out = BoundaryMeasure(domain, gamma * domain.hm_weights)
-    out.density = gamma
-    return out
+    return BoundaryMeasure(domain, gamma * domain.hm_weights, density=gamma)
 
 
 @dataclass
@@ -163,8 +161,7 @@ def nu_limit(domain: DiscreteDomain, u: HarmonicField, kappa: BoundaryMeasure,
             slope = float(np.median(slopes))
 
     y_star = ys[-1]
-    nu = BoundaryMeasure(domain, gammas[y_star] * w)
-    nu.density = gammas[y_star]
+    nu = BoundaryMeasure(domain, gammas[y_star] * w, density=gammas[y_star])
     diag = NuDiagnostics(
         y_sequence=list(ys),
         total_masses=[float((gammas[y] * w).sum()) for y in ys],
