@@ -29,7 +29,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 from ..errors import ConfigError, ConvergenceError, ResolutionError
@@ -39,10 +38,7 @@ from .geometry import LipschitzGraph
 NEGLIGIBLE_MASS = 1e-12  # nodes below this fraction of total weight are excluded
 EIG_COND_MAX = 1e5       # eigenbasis condition number above which powers use log G
 _SOLVE_CHUNK = 32
-# Below this many right-hand sides (times wing copies) a wing solve runs
-# LAPACK's tridiagonal solve, one right-hand side at a time; from it on, a
-# vectorised sweep, whose cost is mostly a fixed Python loop over columns.
-_SWEEP_MIN_RHS = 16
+BAND_HEIGHT = 3.2        # top of a field's cached band (kernels stop at 1)
 
 # four Gauss-Legendre nodes on [-1, 1]; row p of the inverse Vandermonde
 # matrix holds the t^p coefficients of the nodes' Lagrange polynomials
@@ -62,7 +58,6 @@ class DomainConfig:
     wos_seed: int = 0
     far_field: str = "zero"     # "zero" | "halfplane"
     graph_offset: float = 0.0   # vertical shift of the boundary (enlarged domains)
-    band_height: float = 3.2    # height of a field's cached band (kernels stop at 1)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DomainConfig":
@@ -102,7 +97,6 @@ class DomainConfig:
             wos_seed=number("wos_seed", d.get("wos_seed", 0), int),
             far_field=str(d.get("far_field", "zero")),
             graph_offset=number("graph_offset", d.get("graph_offset", 0.0)),
-            band_height=number("band_height", d.get("band_height", 3.2)),
         )
 
     def to_dict(self) -> dict:
@@ -116,7 +110,6 @@ class DomainConfig:
             "wos_seed": self.wos_seed,
             "far_field": self.far_field,
             "graph_offset": self.graph_offset,
-            "band_height": self.band_height,
         }
 
 
@@ -160,11 +153,11 @@ class DiscreteDomain:
         # layer reads heights y <= 1 (the pole sits at 1); the central
         # stencil at y = 1 reaches one level up and, on the mirrored
         # columns, the boundary step further.  A field band reaches
-        # band_height, where the dominance check reads u at 3y.
+        # BAND_HEIGHT, where the dominance check reads u at 3y.
         head = int(self.ny - 1 - self.jb.max())
         reach = 1 + int(max(np.abs(self._dj_e).max(), np.abs(self._dj_w).max()))
         self.band_rows = min(int(np.ceil(1.0 / h - 1e-9)) + reach, head)
-        self.field_rows = min(int(round(config.band_height / h)), head)
+        self.field_rows = min(int(round(BAND_HEIGHT / h)), head)
         self.kernel_mode = "reflect" if config.far_field == "zero" else "absorb"
         # Top row jt of the boundary strip, the part of the grid each closure
         # factors: the lowest row above every graph node, so the strip holds
@@ -191,8 +184,6 @@ class DiscreteDomain:
         W, H, h = cfg.box_halfwidth, cfg.box_height, self.h
         if h <= 0:
             raise ConfigError("grid_spacing must be positive")
-        if cfg.band_height <= 0:
-            raise ConfigError("band_height must be positive")
         if W < self.graph.support_radius + 2.0 - 1e-12:
             raise ConfigError(
                 "box too small: halfwidth must exceed the profile support by >= 2"
@@ -338,7 +329,7 @@ class DiscreteDomain:
         of columns.  Levels at or below the strip's top row are read from
         the strip; the others from the bottom rows of the box above it, the
         only box rows built.  The pole masses (``hm_weights``) are the
-        kernel measure at the pole: a band row, or one transposed solve.
+        kernel measure at the pole: a band row, or one ``adjoint`` solve.
         """
         if self._kernel_band is not None:
             return self._kernel_band
@@ -610,10 +601,9 @@ class _Wing:
     Dirichlet on the inner side (the core, or the graph where it rises) and
     mirrored or absorbing at the wall.  The orthonormal DST-I P diagonalises
     T_y (eigenvalues μ_k = 2 − 2 cos(π (k+1)/(m+1))), and every mode's
-    tridiagonal K_x + μ_k is factored once: by ``dgttrf``, all modes in one
-    block-diagonal system, and, since it is diagonally dominant, by
-    elimination without pivoting for a sweep over the columns that takes
-    all modes and right-hand sides at once.
+    tridiagonal K_x + μ_k, diagonally dominant, is eliminated once without
+    pivoting, for a sweep over the columns that takes all modes and
+    right-hand sides at once.
 
     Nodes run column by column from the wall inwards, each column from the
     bottom.  Wings of one shape (both ends of a symmetric graph) share the
@@ -630,26 +620,21 @@ class _Wing:
         k = np.arange(1, m + 1)
         self.P = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
         d = 4.0 - 2.0 * np.cos(np.pi * k / (m + 1))
-        # off-diagonals of K_x: up[i] couples column i to i+1, down[i] i+1 to i
-        up, down = np.full(a - 1, -1.0), np.full(a - 1, -1.0)
+        # K_x is -1 off its diagonal, save up[0] = -2 under the mirrored wall
+        # (the wall column meets its mirrored neighbour twice).  Elimination
+        # keeps the pivots 1/d'_i and the ratios up_i/d'_i; the lower
+        # diagonal of -1 gives d'_i = d + ratio_{i-1}, and the sweep adds
+        # the previous column.
+        up = np.full(a - 1, -1.0)
         if mirror:
-            up[0] = -2.0  # the wall column's mirrored neighbour
-        self._sweeps = {False: self._eliminate(d, up, down), True: self._eliminate(d, down, up)}
-        # the modes stacked, with no coupling between them
-        self._lu = dgttrf(np.tile(np.r_[down, 0.0], m)[:-1], np.repeat(d, a),
-                          np.tile(np.r_[up, 0.0], m)[:-1])[:5]
-        self.zg = self._rim(self.solve(self._rim_modes(np.eye(a + m - 1))))
-
-    @staticmethod
-    def _eliminate(d, up, down):
-        """Pivots 1/d'_i and ratios up_i/d'_i of the tridiagonal (down, d, up)."""
-        inv = np.empty((len(up) + 1, len(d)))
-        ratio = np.empty((len(up), len(d)))
+            up[0] = -2.0
+        inv, ratio = np.empty((a, m)), np.empty((a - 1, m))
         inv[0] = 1.0 / d
-        for i in range(len(up)):
+        for i in range(a - 1):
             ratio[i] = up[i] * inv[i]
-            inv[i + 1] = 1.0 / (d - down[i] * ratio[i])
-        return inv[:, :, None], ratio[:, :, None], -down
+            inv[i + 1] = 1.0 / (d + ratio[i])
+        self._inv, self._ratio = inv[:, :, None], ratio[:, :, None]
+        self.zg = self._rim(self.solve(self._rim_modes(np.eye(a + m - 1))))
 
     def modes(self, fs):
         """Modes of the wings' part of fs (strip nodes, r); None when it is zero."""
@@ -669,20 +654,18 @@ class _Wing:
         g[-1] += self.P[:, :-1] @ b[self.a:]
         return g
 
-    def solve(self, g, trans=False):
-        """(K_x + μ_k)⁻¹, or its transpose, on every mode of g, in place."""
-        if g.shape[2] < _SWEEP_MIN_RHS:
-            x, _ = dgttrs(*self._lu, g.transpose(1, 0, 2).reshape(self.m * self.a, -1),
-                          trans="T" if trans else "N")
-            g[:] = x.reshape(self.m, self.a, -1).transpose(1, 0, 2)
-            return g
-        inv, ratio, down = self._sweeps[trans]
-        g[0] *= inv[0]
-        for i in range(1, self.a):
-            g[i] += down[i - 1] * g[i - 1]
-            g[i] *= inv[i]
-        for i in range(self.a - 2, -1, -1):
-            g[i] -= ratio[i] * g[i + 1]
+    def solve(self, g):
+        """(K_x + μ_k)⁻¹ on every mode of g, in place.
+
+        The sweep runs on column views made once: with few right-hand sides
+        its cost is the Python loop, not the arithmetic."""
+        cols = list(g)
+        cols[0] *= self._inv[0]
+        for prev, col, inv in zip(cols, cols[1:], self._inv[1:]):
+            col += prev
+            col *= inv
+        for col, nxt, ratio in zip(cols[-2::-1], cols[:0:-1], self._ratio[::-1]):
+            col -= ratio * nxt
         return g
 
     def rim(self, g):
@@ -733,10 +716,11 @@ class _StripSolver:
     5. rebuilds the box, or only its bottom rows: the step-1 values plus
        the modal propagation of the top row.
 
-    Transposed solves take the transposed factors and the same box solve
-    with Q⁻ᵀ and Qᵀ in the places of Q and Q⁻¹.  Under the scaling of its
-    mirrored rows and columns the box is similar to its transpose; on T_y
-    that scaling weights the top row by the mirror factor.
+    Transposed solves need no factors of their own.  A mirrored neighbour
+    couples twice, so under the reflecting closure D A is symmetric for the
+    diagonal D (``sym``) that is ½ on the end columns and the top row, ¼ at
+    the top corners and 1 elsewhere (the identity under the absorbing
+    closure); thus Aᵀ = D A D⁻¹ and ``adjoint`` is D A⁻¹ D⁻¹.
     """
 
     def __init__(self, domain, mode):
@@ -749,6 +733,12 @@ class _StripSolver:
         i = np.repeat(np.arange(nx), ny - 1 - jb)
         in_box = np.arange(domain.n_interior) - domain.offsets[i] >= jt - jb[i]
         self.strip, self.box = np.flatnonzero(~in_box), np.flatnonzero(in_box)
+        self.sym = np.ones(domain.n_interior)
+        if mode == "reflect":
+            o = domain.offsets  # column i holds o[i] .. o[i+1] - 1, top row last
+            self.sym[:o[1]] *= 0.5
+            self.sym[o[-2]:] *= 0.5
+            self.sym[o[1:] - 1] *= 0.5
         self.top = T = self.local(np.arange(nx), jt)
         shapes = {}
         for cols in (np.arange(nx), np.arange(nx)[::-1]):
@@ -815,16 +805,14 @@ class _StripSolver:
         """Strip index of grid node (column i, row j <= jt); vectorized."""
         return self._base[i] + j
 
-    def box_modes(self, fb, trans=False):
+    def box_modes(self, fb):
         """Modes (nx, rows, m) of the box part fb (box nodes, m) of a
         right-hand side, eliminated from the box top down; None when fb is
         zero."""
         if not fb.any():
             return None
         nx = len(self.s)
-        g = ((self.Q.T if trans else self.Qinv) @ fb.reshape(nx, -1)).reshape(nx, self.rows, -1)
-        if trans:
-            g[:, -1] *= self.mirror
+        g = (self.Qinv @ fb.reshape(nx, -1)).reshape(nx, self.rows, -1)
         for r in range(self.rows - 2, -1, -1):
             g[:, r] += self.s[:, r + 1, None] * g[:, r + 1]
         return g
@@ -848,72 +836,64 @@ class _StripSolver:
                 out[:, r] = g
         return out
 
-    def _nodal(self, x, trans):
+    def _nodal(self, x):
         """Nodal values of box modes x (nx, rows', m), in box order."""
-        m = x.shape[-1]
-        return ((self.Qinv.T if trans else self.Q) @ x.reshape(len(x), -1)).reshape(-1, m)
+        return (self.Q @ x.reshape(len(x), -1)).reshape(-1, x.shape[-1])
 
-    def solve_strip(self, fs, modes=None, trans=False):
+    def solve_strip(self, fs, modes=None):
         """Strip values (strip nodes, m) for the strip part fs of a
         right-hand side and the ``box_modes`` of its box part."""
         if modes is not None:
-            fs[self.top] += self._nodal((self.s[:, 0, None] * modes[:, 0])[:, None], trans)
-        t = "T" if trans else "N"
+            fs[self.top] += self._nodal((self.s[:, 0, None] * modes[:, 0])[:, None])
         fc, ft = fs[self.core], fs[self.top]
-        if trans:
-            TC, CT = self._CT.T, self._TC.T
-        else:
-            TC, CT = self._TC, self._CT
         if self.wings:
-            if trans:
-                CG, TG, GC, GT = self._GC.T, self._GT.T, self._CG.T, self._TG.T
-            else:
-                CG, TG, GC, GT = self._CG, self._TG, self._GC, self._GT
             g = [w.modes(fs) for w in self.wings]
-            g = [None if x is None else w.solve(x, trans) for w, x in zip(self.wings, g)]
+            g = [None if x is None else w.solve(x) for w, x in zip(self.wings, g)]
             rim = np.concatenate([np.zeros((len(w.gamma), fs.shape[1])) if x is None
                                   else w.rim(x) for w, x in zip(self.wings, g)])
-            fc, ft = fc - CG @ rim, ft - TG @ rim  # the wings' values on Γ, moved
+            fc, ft = fc - self._CG @ rim, ft - self._TG @ rim  # the wings' values on Γ, moved
         x = np.empty_like(fs)
-        x[self.top] = xt = lu_solve(self.schur, ft - TC @ self.lu.solve(fc, trans=t),
-                                    trans=int(trans))
-        x[self.core] = xc = self.lu.solve(fc - CT @ xt, trans=t)
+        x[self.top] = xt = lu_solve(self.schur, ft - self._TC @ self.lu.solve(fc))
+        x[self.core] = xc = self.lu.solve(fc - self._CT @ xt)
         if self.wings:
-            data = GT @ xt + GC @ xc  # what x_T and x_C put on Γ
+            data = self._GT @ xt + self._GC @ xc  # what x_T and x_C put on Γ
             lo = 0
             for w, x0 in zip(self.wings, g):
                 hi = lo + len(w.gamma)
-                xw = -w.solve(w.rim_modes(data[lo:hi]), trans)
+                xw = -w.solve(w.rim_modes(data[lo:hi]))
                 w.scatter(x, xw if x0 is None else xw + x0)
                 lo = hi
         return x
 
-    def box_values(self, modes, v, trans=False, rows=None):
+    def box_values(self, modes, v, rows=None):
         """Box values (box nodes, m) for the ``box_modes`` of a right-hand
         side (None: zero) and strip top-row values v (nx, m).  Given
         ``rows``, only the bottom rows are built, in the same column-major
         order."""
         rows = self.rows if rows is None else rows
-        x = self.lift[:, :rows, None] * ((self.Q.T if trans else self.Qinv) @ v)[:, None]
+        x = self.lift[:, :rows, None] * (self.Qinv @ v)[:, None]
         if modes is not None:
             y = 0.0  # substitute upwards
             for r in range(rows):
                 c = self.mirror if r == self.rows - 1 else 1.0
                 y = self.s[:, r, None] * (modes[:, r] + c * y)
                 x[:, r] += y
-        if trans and rows == self.rows:
-            x[:, -1] /= self.mirror
-        return self._nodal(x, trans)
+        return self._nodal(x)
 
-    def solve(self, f, trans=False):
-        """x with A x = f, or Aᵀ x = f when ``trans``; f is (n,) or (n, m)."""
+    def solve(self, f):
+        """x with A x = f; f is (n,) or (n, m)."""
         f2 = np.asarray(f, dtype=float).reshape(len(f), -1)
-        modes = self.box_modes(f2[self.box], trans)
+        modes = self.box_modes(f2[self.box])
         x = np.empty_like(f2)
-        x[self.strip] = xs = self.solve_strip(f2[self.strip], modes, trans)
+        x[self.strip] = xs = self.solve_strip(f2[self.strip], modes)
         if self.rows:
-            x[self.box] = self.box_values(modes, xs[self.top], trans)
+            x[self.box] = self.box_values(modes, xs[self.top])
         return x.reshape(np.shape(f))
+
+    def adjoint(self, f):
+        """x with Aᵀ x = f, as D A⁻¹ D⁻¹ f; f is (n,) or (n, m)."""
+        d = self.sym.reshape((-1,) + (1,) * (np.ndim(f) - 1))
+        return d * self.solve(f / d)
 
 
 # ---------------------------------------------------------------------------
@@ -924,11 +904,10 @@ class _StripSolver:
 class HarmonicField:
     """Discrete harmonic extension of boundary data on a domain."""
 
-    def __init__(self, domain: DiscreteDomain, boundary_data, values, mode="reflect"):
+    def __init__(self, domain: DiscreteDomain, boundary_data, values):
         self.domain = domain
         self.boundary_data = np.asarray(boundary_data, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        self.mode = mode
         self._band = None
         self._cache = {}
 
@@ -944,11 +923,12 @@ class HarmonicField:
         return out
 
     def band(self):
-        """Values at x_i + m*h for m = 0..field_rows, shape (field_rows+1, nx)."""
+        """Values at x_i + m*h for m = 0..field_rows, shape (field_rows+1, nx),
+        or (field_rows+1, nx, m) for stacked data."""
         if self._band is None:
             d = self.domain
             nb = d.field_rows
-            F = np.empty((nb + 1, d.nx))
+            F = np.empty((nb + 1,) + self.boundary_data.shape)
             F[0] = self.boundary_data
             F[1:] = self.values[d.index(np.arange(d.nx), d.jb + np.arange(1, nb + 1)[:, None])]
             self._band = F
@@ -987,11 +967,11 @@ class HarmonicField:
         self._cache[key] = (gx, gy)
         return gx, gy
 
-    def sigma_rows(self, y, zero_tol=1e-12):
-        """Unit gradient directions at x_i + y; zero vectors below tolerance."""
+    def sigma_rows(self, y):
+        """Unit gradient directions at x_i + y; zero vectors where |∇u| <= 1e-12."""
         gx, gy = self.grad_rows(y)
         norm = np.hypot(gx, gy)
-        live = norm > zero_tol
+        live = norm > 1e-12
         sx = np.where(live, gx / np.maximum(norm, 1e-300), 0.0)
         sy = np.where(live, gy / np.maximum(norm, 1e-300), 0.0)
         return sx, sy, norm
@@ -1026,7 +1006,6 @@ class BoundaryMeasure:
     s_masses: np.ndarray
     box_side_mass: float = 0.0
     box_top_mass: float = 0.0
-    stderr: np.ndarray | None = None
     density: np.ndarray | None = None
 
     @property
@@ -1071,16 +1050,7 @@ def harmonic_measure(domain: DiscreteDomain, pole) -> BoundaryMeasure:
     i, j = domain.snap_point(pole)
     if not domain.is_interior(i, j):
         raise ConfigError(f"pole {pole} is on or outside the boundary")
-    c = domain._strip_solver("absorb")
-    e = np.zeros(domain.n_interior)
-    e[domain.index(i, j)] = 1.0
-    g = c.solve(e)  # absorbing system is symmetric
-    s = c.B.T @ g
-    box = c.X.T @ g
-    oracle = domain.far_field_oracle()
-    if oracle is not None:
-        s = s + oracle.T @ box
-        box = box * (1.0 - oracle.sum(axis=1))
+    s, box = _exit_row(domain, "absorb", i, j)
     side = float(box[: 2 * domain.ny].sum())
     top = float(box[2 * domain.ny:].sum())
     return BoundaryMeasure(domain, s, side, top)
@@ -1089,9 +1059,10 @@ def harmonic_measure(domain: DiscreteDomain, pole) -> BoundaryMeasure:
 def kernel_measure(domain: DiscreteDomain, pole) -> BoundaryMeasure:
     """Exit distribution from a pole under the kernel closure.
 
-    Within the kernel band it is a band row.  Above it, one transposed solve
-    of the same closure gives the row: the reflecting one, or on ``halfplane``
-    domains the absorbing one with the far-field oracle on its ghost slots.
+    Within the kernel band it is a band row.  Above it, one ``adjoint``
+    solve of the same closure gives the row: the reflecting one, or on
+    ``halfplane`` domains the absorbing one with the far-field oracle on its
+    ghost slots.
     """
     i, j = domain.snap_point(pole)
     if not domain.is_interior(i, j):
@@ -1099,30 +1070,43 @@ def kernel_measure(domain: DiscreteDomain, pole) -> BoundaryMeasure:
     joff = j - domain.jb[i]
     if joff <= domain.band_rows:
         return BoundaryMeasure(domain, domain.kernel_table()[joff, i, :].copy())
-    c = domain._strip_solver(domain.kernel_mode)
+    return BoundaryMeasure(domain, _exit_row(domain, domain.kernel_mode, i, j)[0])
+
+
+def _exit_row(domain: DiscreteDomain, mode, i, j):
+    """Exit masses from interior node (i, j) under a closure: ``(graph,
+    ghost slots)``, row (i, j) of A⁻¹ [B X] by one ``adjoint`` solve.  On
+    ``halfplane`` domains the ghost-slot mass is redistributed through the
+    closed-form far field, and the slots keep what it does not place."""
+    c = domain._strip_solver(mode)
     e = np.zeros(domain.n_interior)
     e[domain.index(i, j)] = 1.0
-    g = c.solve(e, trans=True)
-    s = c.B.T @ g
+    g = c.adjoint(e)
+    s, box = c.B.T @ g, c.X.T @ g
     oracle = domain.far_field_oracle()
     if oracle is not None:
-        s = s + oracle.T @ (c.X.T @ g)
-    return BoundaryMeasure(domain, s)
+        s = s + oracle.T @ box
+        box = box * (1.0 - oracle.sum(axis=1))
+    return s, box
 
 
 def harmonic_extension(domain: DiscreteDomain, boundary_fn) -> HarmonicField:
-    """Discrete Dirichlet extension of boundary data on the graph mesh."""
+    """Discrete Dirichlet extension of boundary data on the graph mesh.
+
+    The data are (nx,), or m data vectors stacked (nx, m) and extended by one
+    solve; the field of a stack serves ``band`` and ``rows``.
+    """
     data = np.asarray(boundary_fn, dtype=float)
-    if data.shape != (domain.nx,):
-        raise ConfigError(f"boundary data must have shape ({domain.nx},)")
+    if data.shape[:1] != (domain.nx,) or data.ndim > 2:
+        raise ConfigError(f"boundary data must have shape ({domain.nx},) or ({domain.nx}, m)")
     if not np.all(np.isfinite(data)):
         raise ConfigError("boundary data must be finite")
     oracle = domain.far_field_oracle()
     if oracle is not None:
         values = domain.solve_dirichlet(data, mode="absorb", box_data=oracle @ data)
-        return HarmonicField(domain, data, values, mode="halfplane")
-    values = domain.solve_dirichlet(data, mode="reflect")
-    return HarmonicField(domain, data, values, mode="reflect")
+    else:
+        values = domain.solve_dirichlet(data, mode="reflect")
+    return HarmonicField(domain, data, values)
 
 
 def arc_indicator(domain: DiscreteDomain, a: float, b: float):
@@ -1145,7 +1129,7 @@ def greens_function(domain: DiscreteDomain, source) -> HarmonicField:
     e = np.zeros(domain.n_interior)
     e[domain.index(i, j)] = 1.0
     g = domain._strip_solver("absorb").solve(e)
-    return HarmonicField(domain, np.zeros(domain.nx), g, mode="absorb")
+    return HarmonicField(domain, np.zeros(domain.nx), g)
 
 
 def gradient(fieldv: HarmonicField, point):

@@ -73,8 +73,6 @@ def wos_harmonic_measure(domain: DiscreteDomain, pole, n_samples: int,
                            domain.nx - 1).astype(np.int64)
             np.add.at(counts, cols, 1)
 
-    p = counts / float(n_samples)
-    stderr = np.sqrt(p * (1 - p) / float(n_samples))
-    out = BoundaryMeasure(domain, p, stderr=stderr)
+    out = BoundaryMeasure(domain, counts / float(n_samples))
     out.capped_walks = capped
     return out

@@ -31,6 +31,8 @@ import numpy as np
 from .domain_field.grid import DiscreteDomain, HarmonicField, kernel_measure
 from .errors import ConfigError, ResolutionError
 
+HARNACK_SLACK = 0.01  # relative excess of a held-out ratio over the fitted bound
+
 
 @dataclass
 class BoundaryKernel:
@@ -212,13 +214,14 @@ class HarnackFit:
     alpha: float
     c: float
     pair_ratios: list
-    core_halfwidth: float
 
-    def bound_holds(self, ratio_sup, y1, y2, slack: float = 0.01) -> bool:
-        return ratio_sup <= (1 + slack) * self.c * (y2 / y1) ** self.alpha
+    def bound_holds(self, ratio_sup, y1, y2) -> bool:
+        return ratio_sup <= (1 + HARNACK_SLACK) * self.c * (y2 / y1) ** self.alpha
 
 
-def _ratio_sup(domain, y1, y2, core):
+def _ratio_sup(domain, y1, y2):
+    """sup k_{y2}/k_{y1} over base nodes within half the box halfwidth."""
+    core = np.abs(domain.xs) <= domain.config.box_halfwidth / 2
     k1 = mass_rows(domain, y1)[core, :]
     k2 = mass_rows(domain, y2)[core, :]
     w = domain.hm_weights
@@ -231,8 +234,7 @@ def _ratio_sup(domain, y1, y2, core):
     return float(r.max())
 
 
-def harnack_alpha(domain: DiscreteDomain, y_pairs,
-                  core_halfwidth: float | None = None) -> HarnackFit:
+def harnack_alpha(domain: DiscreteDomain, y_pairs) -> HarnackFit:
     """Fit (alpha, c) so that sup k_{y2}/k_{y1} <= c (y2/y1)^alpha on samples.
 
     A least-squares fit of log ratio against log(y2/y1) gives alpha; c is then
@@ -247,13 +249,10 @@ def harnack_alpha(domain: DiscreteDomain, y_pairs,
             raise ConfigError("pairs must satisfy y1 <= y2")
         if y1 < 2 * domain.h - 1e-12:
             raise ResolutionError("pair heights must respect the 2h floor")
-    if core_halfwidth is None:
-        core_halfwidth = domain.config.box_halfwidth / 2
-    core = np.abs(domain.xs) <= core_halfwidth
 
     logs, sups = [], []
     for y1, y2 in pairs:
-        sup = _ratio_sup(domain, y1, y2, core)
+        sup = _ratio_sup(domain, y1, y2)
         sups.append(sup)
         logs.append(np.log(y2 / y1))
     logs = np.array(logs)
@@ -268,18 +267,16 @@ def harnack_alpha(domain: DiscreteDomain, y_pairs,
         alpha = 0.0
     c = float(np.max(sups / np.exp(alpha * logs)))
     return HarnackFit(alpha=alpha, c=c,
-                      pair_ratios=[(y1, y2, s) for (y1, y2), s in zip(pairs, sups)],
-                      core_halfwidth=core_halfwidth)
+                      pair_ratios=[(y1, y2, s) for (y1, y2), s in zip(pairs, sups)])
 
 
-def harnack_violations(domain: DiscreteDomain, fit: HarnackFit, y_pairs,
-                       slack: float = 0.01) -> float:
-    """Fraction of held-out pairs violating the fitted bound beyond slack."""
-    core = np.abs(domain.xs) <= fit.core_halfwidth
+def harnack_violations(domain: DiscreteDomain, fit: HarnackFit, y_pairs) -> float:
+    """Fraction of held-out pairs violating the fitted bound beyond
+    ``HARNACK_SLACK``."""
     bad = 0
     pairs = list(y_pairs)
     for y1, y2 in pairs:
-        sup = _ratio_sup(domain, float(y1), float(y2), core)
-        if not fit.bound_holds(sup, y1, y2, slack):
+        sup = _ratio_sup(domain, float(y1), float(y2))
+        if not fit.bound_holds(sup, y1, y2):
             bad += 1
     return bad / len(pairs)

@@ -527,23 +527,21 @@ def ode_check(domain: DiscreteDomain, u: HarmonicField, phi: HarmonicField,
 
 
 def find_positive_epsilon(domain: DiscreteDomain, u: HarmonicField,
-                          segments=None, hi: float = 0.5, iters: int = 6,
-                          tol: float = OMEGA_TOL) -> float:
-    """Bisect the largest eps keeping the limit kernels entrywise nonnegative
-    on test segments with m <= |seg| <= 3m."""
-    if segments is None:
-        f = 2 * domain.h
-        segments = [Segment(max(0.1, f), max(0.1, f) * 3),
-                    Segment(max(0.15, f), max(0.15, f) * 2)]
+                          iters: int = 6) -> float:
+    """Bisect the largest eps in [0, 0.5] keeping the limit kernels
+    entrywise nonnegative on test segments with m <= |seg| <= 3m."""
+    f = 2 * domain.h
+    segments = [Segment(max(0.1, f), max(0.1, f) * 3),
+                Segment(max(0.15, f), max(0.15, f) * 2)]
     ws = _workspace(domain, u)
 
     def positive(eps):
         try:
-            return all(ws.omega_entries(s, eps, tol)[0].min() >= 0 for s in segments)
+            return all(ws.omega_entries(s, eps)[0].min() >= 0 for s in segments)
         except ConvergenceError:
             return False
 
-    lo_e, hi_e = 0.0, hi
+    lo_e, hi_e = 0.0, 0.5
     if positive(hi_e):
         return hi_e
     for _ in range(iters):

@@ -22,12 +22,15 @@ from .domain_field.grid import (
     BoundaryMeasure,
     DiscreteDomain,
     HarmonicField,
+    harmonic_extension,
     kernel_measure,
 )
 from .errors import ConfigError, ResolutionError
 from .omega import adjoint_sweep
 
 MAX_PROBE_SLOPE = 5.0  # vertical probe direction guard for steep profiles
+N_ALPHA = 10           # nu_limit's bump test functions, centred on [-2, 2]
+SIGMA_HEIGHT = 0.5     # height at which nu_limit reads the bumps' extensions
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +110,14 @@ class NuDiagnostics:
 
     y_sequence: list
     total_masses: list
-    alpha_diffs: np.ndarray    # (n_alpha, len(y)-1)
+    alpha_diffs: np.ndarray    # (N_ALPHA, len(y)-1)
     shifted_diffs: np.ndarray  # (len(y)-1,)
     slope: float
-    sigma_height: float
     steps: int
 
 
 def nu_limit(domain: DiscreteDomain, u: HarmonicField, kappa: BoundaryMeasure,
-             eps: float, y_sequence=None, n_alpha: int = 10,
-             sigma_height: float = 0.5) -> tuple:
+             eps: float, y_sequence=None) -> tuple:
     """Follow gamma_y down the y-sequence and report weak-convergence decay.
 
     Returns (nu, diagnostics): nu is the transformed measure at the smallest
@@ -136,14 +137,9 @@ def nu_limit(domain: DiscreteDomain, u: HarmonicField, kappa: BoundaryMeasure,
     gammas = dict(zip(ys, sweep))
     w = domain.hm_weights
 
-    centers = np.linspace(-2.0, 2.0, n_alpha)
-    from .domain_field.grid import harmonic_extension
-
-    alphas = []
-    for c in centers:
-        bump = np.clip(1.0 - np.abs(domain.xs - c) / 0.5, 0.0, 1.0)
-        alphas.append(harmonic_extension(domain, bump).rows(sigma_height))
-    alphas = np.stack(alphas)
+    centers = np.linspace(-2.0, 2.0, N_ALPHA)
+    bumps = np.clip(1.0 - np.abs(domain.xs[:, None] - centers) / 0.5, 0.0, 1.0)
+    alphas = harmonic_extension(domain, bumps).rows(SIGMA_HEIGHT).T
 
     integrals = np.stack([alphas @ (gammas[y] * w) for y in ys], axis=1)
     diffs = np.abs(np.diff(integrals, axis=1))
@@ -168,7 +164,6 @@ def nu_limit(domain: DiscreteDomain, u: HarmonicField, kappa: BoundaryMeasure,
         alpha_diffs=diffs,
         shifted_diffs=shifted_diffs,
         slope=slope,
-        sigma_height=sigma_height,
         steps=steps,
     )
     return nu, diag

@@ -149,6 +149,20 @@ def test_extension_rejects_nonfinite(flat_small):
         harmonic_extension(domain, data)
 
 
+def test_stacked_extension_matches_each_column(saw_small):
+    # m data vectors stacked (nx, m) are extended by one solve into the
+    # fields of the vectors one at a time
+    domain, _ = saw_small
+    data = np.stack([arc_indicator(domain, -1.0, 1.0), np.cos(domain.xs)], axis=1)
+    stacked = harmonic_extension(domain, data)
+    for k in range(2):
+        one = harmonic_extension(domain, data[:, k])
+        assert np.abs(stacked.values[:, k] - one.values).max() <= 1e-14
+        assert np.abs(stacked.rows(0.537)[:, k] - one.rows(0.537)).max() <= 1e-14
+    with pytest.raises(ConfigError):
+        harmonic_extension(domain, np.ones((domain.nx, 2, 2)))
+
+
 def test_extension_indicator_spot_oracle(oracle_flat):
     domain, u = oracle_flat
     assert abs(u.at((0.0, 1.0)) - 0.5) < 1e-3
@@ -362,7 +376,7 @@ def test_kernel_band_memory(kernel_flat):
 @pytest.mark.parametrize("far_field", ["zero", "halfplane"])
 def test_kernel_measure_is_a_kernel_closure_row(far_field, point):
     # within the kernel band the masses are a band row, above it one
-    # transposed solve; either way the mass at node j is the value at the
+    # adjoint solve; either way the mass at node j is the value at the
     # point of the extension of e_j in the same closure
     domain = build_domain(_flat_cfg(far_field=far_field))
     m = kernel_measure(domain, point)
@@ -558,9 +572,9 @@ def test_every_solve_matches_full_solve(name, request):
 
 @pytest.mark.parametrize("far_field", ["zero", "halfplane"])
 def test_box_elimination_is_the_box_inverse(far_field):
-    # the box solve, plain and transposed, against a sparse LU of the box
-    # block with the strip's top row as bottom-row data; on halfplane
-    # domains the box data are the far-field ghost data
+    # the box solve against a sparse LU of the box block with the strip's
+    # top row as bottom-row data; on halfplane domains the box data are the
+    # far-field ghost data
     domain = build_domain(_flat_cfg(box_halfwidth=3.0, box_height=2.0,
                                     far_field=far_field))
     c = domain._strip_solver(domain.kernel_mode)
@@ -570,14 +584,12 @@ def test_box_elimination_is_the_box_inverse(far_field):
     Abox = A[box][:, box].tocsc()
     lu = spla.splu(Abox)
 
-    def box_solve(f, trans):
+    def box_solve(f):
         # the LU solution refined once against an extended-precision
         # residual: the LU alone is about 2e-14 off on the zero domain
-        t = "T" if trans else "N"
-        x = lu.solve(f, trans=t)
-        M = (Abox.T if trans else Abox).astype(np.longdouble)
-        r = f - M @ x.astype(np.longdouble)
-        return x + lu.solve(r.astype(float), trans=t)
+        x = lu.solve(f)
+        r = f - Abox.astype(np.longdouble) @ x.astype(np.longdouble)
+        return x + lu.solve(r.astype(float))
 
     cols = np.arange(domain.nx)
     bottom = np.flatnonzero(np.isin(box, domain.index(cols, domain.strip_top + 1)))
@@ -586,13 +598,30 @@ def test_box_elimination_is_the_box_inverse(far_field):
     oracle = domain.far_field_oracle()
     fb = X[box] @ oracle if oracle is not None else np.random.default_rng(3).random(E.shape)
     v = np.random.default_rng(4).random((domain.nx, domain.nx))
-    for trans in (False, True):
-        modes = c.box_modes(fb, trans)
-        ref = box_solve(fb + E @ v, trans)
-        assert np.abs(c.box_values(modes, v, trans) - ref).max() <= 1e-14 * np.abs(ref).max()
-        # N, the bottom-row block of the box's inverse
-        N = c.box_values(None, np.eye(domain.nx), trans)[bottom]
-        assert np.abs(N - box_solve(E, trans)[bottom]).max() <= 1e-14
+    modes = c.box_modes(fb)
+    ref = box_solve(fb + E @ v)
+    assert np.abs(c.box_values(modes, v) - ref).max() <= 1e-14 * np.abs(ref).max()
+    # N, the bottom-row block of the box's inverse
+    N = c.box_values(None, np.eye(domain.nx))[bottom]
+    assert np.abs(N - box_solve(E)[bottom]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("mode", ["reflect", "absorb"])
+@pytest.mark.parametrize("name", ["flat_small", "saw_small", "saw_steep", *_STRIP_GRIDS])
+def test_closure_symmetrizer(name, mode, request):
+    # D A is symmetric for the closure's diagonal D, so Aᵀ = D A D⁻¹ and the
+    # adjoint D A⁻¹ D⁻¹ is the transposed solve; the sources sit in column 0
+    # (D = ½ under the mirrored closure): at its top corner (D = ¼), halfway
+    # up, and on its lowest interior row, in the wing where there is one
+    domain = _strip_grid(name, request)
+    c = domain._strip_solver(mode)
+    lu, _, _ = _full_lu(domain, mode)
+    DA = domain._assemble(mode)[0].multiply(c.sym[:, None]).tocsr()
+    assert (DA != DA.T).nnz == 0
+    for j in (domain.ny - 1, (domain.jb[0] + domain.ny) // 2, domain.jb[0] + 1):
+        e = np.zeros(domain.n_interior)
+        e[domain.index(0, j)] = 1.0
+        assert np.abs(c.adjoint(e) - lu.solve(e, trans="T")).max() <= 1e-13
 
 
 def test_no_solve_factors_the_whole_grid(monkeypatch):
