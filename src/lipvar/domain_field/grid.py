@@ -148,6 +148,18 @@ class DiscreteDomain:
         )
         self._dj_w = self.jb - self.jb[self._mirror_w]
         self._dj_e = self.jb - self.jb[self._mirror_e]
+        # The central-difference stencil as scatter keys into a window of
+        # band levels flattened with their columns.  The east, west, north
+        # and south terms of row i sit at level offsets (dj_e, dj_w, +1, -1)
+        # from the row's level, on columns (mirror_e, mirror_w, i, i), with
+        # signs (+, -, +, -); key = (offset - lowest offset) nx + column.
+        # A height moves only the window and the weights of its two levels.
+        offsets = np.stack([self._dj_e, self._dj_w, np.ones(self.nx, int),
+                            -np.ones(self.nx, int)])
+        columns = np.stack([self._mirror_e, self._mirror_w,
+                            np.arange(self.nx), np.arange(self.nx)])
+        self._stencil_reach = (int(offsets.min()), int(offsets.max()))
+        self._stencil_keys = (offsets - self._stencil_reach[0]) * self.nx + columns
 
         # Top levels of the two bands, capped at the box head.  The kernel
         # layer reads heights y <= 1 (the pole sits at 1); the central
@@ -391,14 +403,51 @@ class DiscreteDomain:
         """Exit-mass rows at x_i + y above each boundary node (linear in y)."""
         return self._band_at(self.kernel_table(), y)
 
+    def mass_matvec(self, y, f):
+        """``mass_rows(y) @ f`` as one matvec per band level, with no blended
+        (nx, nx) matrix."""
+        band = self.kernel_table()
+        m, frac = self._band_span(band, y)
+        out = band[m] @ f
+        if frac:
+            out = (1 - frac) * out + frac * (band[m + 1] @ f)
+        return out
+
     def stencil_rows(self, y):
         """Central differences of the mass rows at x_i + y, for the Martin
         kernel's gradient in its first argument.
 
         Returns ``(dx, dy)``: (east - west) / 2h and (north - south) / 2h,
-        each an (nx, nx) row matrix, linear in y between grid levels.
+        each an (nx, nx) row matrix, linear in y between grid levels.  Only
+        consumers of the whole matrices read them: ``kernels.build_c`` and
+        the adjoint sweep of a stack of rows.  Vector consumers take
+        ``stencil_vecmat`` or ``stencil_matvec``, which never form them.
         """
         return self._band_stencil(self.kernel_table(), y)
+
+    def stencil_vecmat(self, y, ax, ay):
+        """``ax @ dx + ay @ dy`` for the ``stencil_rows(y)`` pair, matrix-free.
+
+        The rows' weights scatter onto the keys of the stencil window (one
+        ``bincount``), and one product with the window's band levels, a view
+        of the band, sums them.
+        """
+        flat, w0, w1 = self._stencil_window(self.kernel_table(), y)
+        wts = np.concatenate([ax, -ax, ay, -ay])
+        keys = self._stencil_keys.ravel()
+        if w1:
+            keys = np.concatenate([keys, keys + self.nx])
+            wts = np.concatenate([w0 * wts, w1 * wts])
+        else:
+            wts = w0 * wts
+        return np.bincount(keys, weights=wts, minlength=len(flat)) @ flat
+
+    def stencil_matvec(self, y, f):
+        """``(dx @ f, dy @ f)`` for the ``stencil_rows(y)`` pair, matrix-free:
+        one product of the stencil window's band levels with f, gathered at
+        the stencil's keys."""
+        flat, w0, w1 = self._stencil_window(self.kernel_table(), y)
+        return self._stencil_gather(flat @ f, w0, w1)
 
     # -- band readers: one height rule for the kernel band and field bands ------
 
@@ -409,51 +458,74 @@ class DiscreteDomain:
         frac = t - m
         return m, (frac if frac >= 1e-12 else 0.0)
 
-    def _band_at(self, band, y):
-        """Level y of a band indexed (level, column, ...), linear in y.
-
-        Serves the kernel band (band_rows+1, nx, nx) and a field band
-        (field_rows+1, nx) alike; heights off the given band raise.
-        """
+    def _band_span(self, band, y):
+        """``_band_level(y)`` for a band indexed (level, ...); heights off the
+        band raise."""
         m, frac = self._band_level(y)
         top = len(band) - 1
         if m < 0 or m + (frac > 0) > top:
             raise ResolutionError(
                 f"height {y} outside the cached band (<= {top * self.h})"
             )
+        return m, frac
+
+    def _band_at(self, band, y):
+        """Level y of a band indexed (level, column, ...), linear in y.
+
+        Serves the kernel band (band_rows+1, nx, nx) and a field band
+        (field_rows+1, nx) alike; heights off the given band raise.
+        """
+        m, frac = self._band_span(band, y)
         if frac == 0:
             return band[m]
         return (1 - frac) * band[m] + frac * band[m + 1]
 
-    def _band_stencil(self, band, y):
-        """Central differences (d/dx, d/dy) of a band at height y, linear in y.
+    def _stencil_window(self, band, y):
+        """The band levels the central stencil at height y reads, flattened
+        with their columns (a view of the band), and the weights
+        (1 - frac) / 2h and frac / 2h of the stencil's two levels.
 
-        The horizontal neighbours of column i sit on the mirrored columns at
-        the same height above the graph, so their band level shifts by the
-        boundary step between the columns.
+        The window starts at the stencil's lowest level; the second level's
+        keys are the first's plus nx.  A stencil that leaves the band raises.
         """
         m, frac = self._band_level(y)
-        nb = len(band) - 1
+        lo = m + self._stencil_reach[0]
+        hi = m + self._stencil_reach[1] + 1 + (frac > 0)
+        if lo < 0 or hi > len(band):
+            raise ResolutionError(f"stencil at height {y} leaves the band")
+        flat = band[lo:hi].reshape((hi - lo) * self.nx, *band.shape[2:])
+        return flat, (1 - frac) / (2 * self.h), frac / (2 * self.h)
 
-        def level(mm):
-            je = mm + self._dj_e
-            jw = mm + self._dj_w
-            if (mm < 1 or mm + 1 > nb or min(je.min(), jw.min()) < 0
-                    or max(je.max(), jw.max()) > nb):
-                raise ResolutionError(f"stencil at height {y} leaves the band")
-            return (band[je, self._mirror_e] - band[jw, self._mirror_w],
-                    band[mm + 1] - band[mm - 1])
+    def _stencil_gather(self, flat, w0, w1):
+        """(d/dx, d/dy) from a stencil window's rows: the keys' differences,
+        weighted by the two level weights."""
+        nx = self.nx
 
-        dx, dy = level(m)
-        dx *= (1 - frac) / (2 * self.h)
-        dy *= (1 - frac) / (2 * self.h)
-        if frac:
-            dx1, dy1 = level(m + 1)
-            dx1 *= frac / (2 * self.h)
-            dy1 *= frac / (2 * self.h)
+        def level(keys):
+            e, w, n, s = keys  # the north and south keys are runs: slices
+            return flat[e] - flat[w], flat[n[0]:n[0] + nx] - flat[s[0]:s[0] + nx]
+
+        dx, dy = level(self._stencil_keys)
+        dx *= w0
+        dy *= w0
+        if w1:
+            dx1, dy1 = level(self._stencil_keys + self.nx)
+            dx1 *= w1
+            dy1 *= w1
             dx += dx1
             dy += dy1
         return dx, dy
+
+    def _band_stencil(self, band, y):
+        """Central differences (d/dx, d/dy) of a band at height y, linear in y.
+
+        Serves the kernel band (``stencil_rows``) and a field band
+        (``HarmonicField.grad_rows``) through the stencil's keys.  The
+        horizontal neighbours of column i sit on the mirrored columns at the
+        same height above the graph, so their band level shifts by the
+        boundary step between the columns.
+        """
+        return self._stencil_gather(*self._stencil_window(band, y))
 
     # -- semigroup-exact one-step powers -------------------------------------------
 

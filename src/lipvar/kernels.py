@@ -186,16 +186,20 @@ def build_b_segment(domain: DiscreteDomain, u: HarmonicField, segment,
 
 
 def apply_k(domain: DiscreteDomain, y: float, f, family: str = "martin"):
-    """K_y f without materializing the kernel: one mass-row matvec."""
-    return mass_rows(domain, y, family) @ np.asarray(f, dtype=float)
+    """K_y f without materializing the kernel: one matvec per band level on
+    the martin family, one with the cached power rows on the power family."""
+    f = np.asarray(f, dtype=float)
+    if family == "martin" and y >= 0:  # mass_rows raises on the rest
+        return domain.mass_matvec(y, f)
+    return mass_rows(domain, y, family) @ f
 
 
 def apply_c(domain: DiscreteDomain, u: HarmonicField, y: float, f):
-    """C_y f via stencil matvecs on the mass rows."""
+    """C_y f from the matrix-free stencil products of the band
+    (``DiscreteDomain.stencil_matvec``): no difference matrix is formed."""
     sx, sy, _ = u.sigma_rows(2 * y)
-    dx, dy = domain.stencil_rows(y)
-    f = np.asarray(f, dtype=float)
-    return sx * (dx @ f) + sy * (dy @ f)
+    gx, gy = domain.stencil_matvec(y, np.asarray(f, dtype=float))
+    return sx * gx + sy * gy
 
 
 def apply_b(domain: DiscreteDomain, u: HarmonicField, y: float, f,
@@ -213,7 +217,6 @@ class HarnackFit:
 
     alpha: float
     c: float
-    pair_ratios: list
 
     def bound_holds(self, ratio_sup, y1, y2) -> bool:
         return ratio_sup <= (1 + HARNACK_SLACK) * self.c * (y2 / y1) ** self.alpha
@@ -266,8 +269,7 @@ def harnack_alpha(domain: DiscreteDomain, y_pairs) -> HarnackFit:
     else:
         alpha = 0.0
     c = float(np.max(sups / np.exp(alpha * logs)))
-    return HarnackFit(alpha=alpha, c=c,
-                      pair_ratios=[(y1, y2, s) for (y1, y2), s in zip(pairs, sups)])
+    return HarnackFit(alpha=alpha, c=c)
 
 
 def harnack_violations(domain: DiscreteDomain, fit: HarnackFit, y_pairs) -> float:

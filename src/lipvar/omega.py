@@ -333,6 +333,10 @@ def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
     step per h/2 cell and two below 4h, cut at every point of ys.
     ``substeps`` cuts every step further, for the step-halving estimate.
     At eps = 0 there is no eps-part, and a step is the k-part alone.
+    The eps-part of a row reads c_y through the matrix-free
+    ``DiscreteDomain.stencil_vecmat``, O(nx^2) per stage from a few band
+    levels; a stack of nx rows pays for the dense ``stencil_rows`` once per
+    height, which its O(nx^3) stage products then share.
 
     Returns (gammas, steps): gammas[i] is the density at ys[i] against the
     pole measure (rho / ``safe_weights``, zero on the excluded nodes).
@@ -344,17 +348,27 @@ def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
         raise ConfigError("sweep heights must lie in (0, 1]")
     half = domain.h / 2
     excl = domain.excluded_nodes
+    stack = np.ndim(kappa_masses) > 1
 
     def coupling(t):
-        """v -> -eps (v G^(y/h)) c_y at y = t h/2; the stencil serves every
-        stage at that height."""
-        sx, sy, _ = u.sigma_rows(2 * t * half)  # zero on dead rows
-        dx, dy = domain.stencil_rows(t * half)
+        """v -> -eps (v G^(y/h)) c_y at y = t h/2.  A row takes the
+        matrix-free stencil product; a stack of rows forms the stencil
+        matrices once for every stage at that height."""
+        y = t * half
+        sx, sy, _ = u.sigma_rows(2 * y)  # zero on dead rows
+        if stack:
+            dx, dy = domain.stencil_rows(y)
+
+            def stencil(q):
+                return (q * sx) @ dx + (q * sy) @ dy
+        else:
+            def stencil(q):
+                return domain.stencil_vecmat(y, q * sx, q * sy)
 
         def n(v):
             q = domain.row_power(v, t / 2)
             q[..., excl] = 0.0
-            out = (q * sx) @ dx + (q * sy) @ dy
+            out = stencil(q)
             out[..., excl] = 0.0
             return -eps * out
         return n

@@ -366,6 +366,47 @@ def test_kernel_band_reaches_one(fixture, request):
     assert np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))
 
 
+@pytest.mark.parametrize("fixture", ["flat_small", "saw_small", "saw_steep"])
+def test_stencil_products_match_dense(fixture, request):
+    # the matrix-free products read the same stencil keys as the dense
+    # matrices: at 2h, on a level, between levels and at 1; saw_steep's
+    # level offsets reach +-2
+    domain, _ = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(5)
+    for y in (2 * domain.h, 0.5, 0.537, 1.0):
+        dx, dy = domain.stencil_rows(y)
+        ax, ay, f = rng.standard_normal((3, domain.nx))
+        ref = ax @ dx + ay @ dy
+        got = domain.stencil_vecmat(y, ax, ay)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        for got, ref in zip(domain.stencil_matvec(y, f), (dx @ f, dy @ f)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        ref = domain.mass_rows(y) @ f
+        assert np.abs(domain.mass_matvec(y, f) - ref).max() <= 1e-13 * np.abs(ref).max()
+    # every path leaves the band where the dense stencil does, at each half
+    # level from h/2 (below the stencil's first level) past the band's top
+    f = np.ones(domain.nx)
+    products = (lambda y: domain.stencil_vecmat(y, f, f),
+                lambda y: domain.stencil_matvec(y, f))
+    left = []
+    for k in range(1, 2 * domain.band_rows + 2):
+        y = k * domain.h / 2
+        try:
+            domain.stencil_rows(y)
+        except ResolutionError:
+            left.append(k)
+            for read in products:
+                with pytest.raises(ResolutionError):
+                    read(y)
+        else:
+            for read in products:
+                assert np.all(np.isfinite(read(y)))
+    assert left[0] == 1 and left[-1] == 2 * domain.band_rows + 1
+    assert round(2 / domain.h) not in left
+    with pytest.raises(ResolutionError):
+        domain.mass_matvec((domain.band_rows + 0.5) * domain.h, f)
+
+
 def test_kernel_band_memory(kernel_flat):
     # heights up to 1 plus the stencil's reach: 18.1 MB on this grid
     domain, _ = kernel_flat

@@ -514,10 +514,11 @@ def test_ladder_at_eps_zero_is_the_power_kernel(grid, request):
 def test_ode_check_at_eps_zero_reads_no_stencil(flat_small, monkeypatch):
     domain, u = flat_small
 
-    def refuse(self, y):
+    def refuse(self, y, *args):
         raise AssertionError("the eps = 0 ladder read a stencil row")
 
-    monkeypatch.setattr(grid.DiscreteDomain, "stencil_rows", refuse)
+    for reader in ("stencil_rows", "stencil_vecmat", "stencil_matvec"):
+        monkeypatch.setattr(grid.DiscreteDomain, reader, refuse)
     res = ode_check(domain, u, u, 0.0, np.round(np.arange(0.3, 0.91, 0.1), 10))
     assert res["steps"] == 16  # 12 h/2 cells down to 4h = 0.4, then 2 cells of two steps
 

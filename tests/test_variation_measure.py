@@ -3,6 +3,7 @@ import pytest
 
 from lipvar import kernels as K
 from lipvar.domain_field import (
+    grid,
     halfplane,
     harmonic_extension,
     kernel_measure,
@@ -159,6 +160,21 @@ def test_nu_mass_trace(flat_small):
     nu, diag = nu_limit(domain, u, kappa, EPS, y_sequence=(0.4, 0.2))
     assert max(abs(m - 1.0) for m in diag.total_masses) < 1e-2
     assert nu.s_masses.min() >= -1e-9
+
+
+def test_vector_paths_form_no_stencil_matrices(saw_small, monkeypatch):
+    # nu's sweep of one row and V quadrature take the matrix-free stencil
+    # products; the dense difference matrices serve only whole-kernel readers
+    domain, u = saw_small
+    kappa = kernel_measure(domain, (0.0, 1.0))
+
+    def refuse(self, y):
+        raise AssertionError("a vector path formed the stencil matrices")
+
+    monkeypatch.setattr(grid.DiscreteDomain, "stencil_rows", refuse)
+    nu, _ = nu_limit(domain, u, kappa, EPS, y_sequence=(0.4, 0.2))
+    V = vertical_variation(domain, u)
+    assert abs(nu.total - 1.0) < 1e-2 and np.all(np.isfinite(V.values))
 
 
 def test_nu_rejects_sequence_below_floor(flat_small):
