@@ -24,6 +24,7 @@ from .domain_field.grid import (
 from .domain_field.wos import wos_harmonic_measure
 from .errors import LipvarError
 from .omega import (
+    OmegaLadder,
     Segment,
     adjoint_sweep,
     cross_boundary_data,
@@ -101,10 +102,12 @@ def adjoint_sweep_error(domain, u, kappa, eps, ys):
     return float(np.abs(g[foot] - g2[foot]).max() / np.abs(g2[foot]).max()), steps
 
 
-def ode_residuals(domain, u, eps, grid):
-    """Relative ODE residual at eps and absolute residual at eps = 0."""
-    return (ode_check(domain, u, u, eps, grid)["rel_residual"],
-            ode_check(domain, u, u, 0.0, grid)["abs_residual"])
+def ode_residuals(ladder, u, grid):
+    """Relative ODE residual at the ladder's eps, and absolute residual at
+    eps = 0 from a k-part ladder on the grid."""
+    zero = OmegaLadder(ladder.domain, u, 0.0, grid)
+    return (ode_check(ladder, u, u, grid)["rel_residual"],
+            ode_check(zero, u, u, grid)["abs_residual"])
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +307,13 @@ def _omega(cfg, domain, u, rng):
         ok = r2 is None or max(r1, r2) <= 2 * min(r1, r2) + 1e-12
         return r1, ok, {"halved_ratio": r2}
 
+    step = max(0.05, 2 * domain.h)
+    grid = np.arange(2 * domain.h + step, 1.0 - step / 2, step)
+    # one eps-ladder serves the ODE check and the two-sided constants at 0.25
+    ladder = cache(lambda: OmegaLadder(domain, u, eps, [*grid, 0.25]))
+
     def rho():
-        rb = omega_rho_bounds(domain, u, 0.25, eps)
+        rb = omega_rho_bounds(ladder(), 0.25)
         return (rb["c_plus"], rb["c_plus"] > 0 and rb["c_minus"] > 0,
                 {"c_minus": rb["c_minus"], "steps": rb["steps"]})
 
@@ -323,10 +331,8 @@ def _omega(cfg, domain, u, rng):
     if eps > 0:
         yield "closeness_eps_factor", "halving eps shrinks gap by 4 +- 50%", closeness
     yield "phi_property", "ratio stable within factor 2 under halving", phi
-    step = max(0.05, 2 * domain.h)
-    grid = np.arange(2 * domain.h + step, 1.0 - step / 2, step)
     if len(grid) >= 5:
-        ode = cache(lambda: ode_residuals(domain, u, eps, grid))
+        ode = cache(lambda: ode_residuals(ladder(), u, grid))
         yield "ode_residual", "relative residual <= 5e-2", lambda: _at_most(ode()[0], 5e-2)
         yield "ode_eps_zero", "absolute residual <= 1e-3", lambda: _at_most(ode()[1], 1e-3)
     yield "omega_rho", "two-sided constants finite and positive", rho
@@ -373,8 +379,7 @@ def _variation(cfg, domain, u, rng):
 
     def probe_chain():
         ball = SurfaceBall(tuple(cfg.balls[0]["center"]), float(cfg.balls[0]["radius"]))
-        pr = probe_ball(domain, u, ball, z1=cfg.z1, eps=eps, y_sequence=cfg.y_sequence,
-                        variation=V(), nu=nu())
+        pr = probe_ball(domain, u, ball, z1=cfg.z1, eps=eps, variation=V(), nu=nu())
         return pr.chain["nu_ball_mass"], pr.chain_ok, {"ratio": pr.ratio}
 
     yield "variation_dominates", "V >= int |grad u(x_3y)| dy - 1e-2", dominates

@@ -233,7 +233,7 @@ def cmd_probe(cfg: RunConfig, out: Path) -> int:
     for n, entry in enumerate(cfg.balls):
         ball = SurfaceBall(tuple(entry["center"]), float(entry["radius"]))
         res = probe_ball(domain, u, ball, z1=cfg.z1, eps=cfg.epsilon,
-                         y_sequence=cfg.y_sequence, variation=V, nu=nu)
+                         variation=V, nu=nu)
         reports.write_json(out / f"probe_{n}.json", res.to_dict())
         mask = SurfaceBall(res.ball_center, res.ball_radius).node_mask(domain)
         reports.write_node_table(out / f"probe_{n}_V.csv", domain,

@@ -953,19 +953,18 @@ class _StripSolver:
         return self._nodal(x)
 
     def solve(self, f):
-        """x with A x = f; f is (n,) or (n, m)."""
-        f2 = np.asarray(f, dtype=float).reshape(len(f), -1)
+        """x (n,) with A x = f."""
+        f2 = np.asarray(f, dtype=float)[:, None]
         modes = self.box_modes(f2[self.box])
         x = np.empty_like(f2)
         x[self.strip] = xs = self.solve_strip(f2[self.strip], modes)
         if self.rows:
             x[self.box] = self.box_values(modes, xs[self.top])
-        return x.reshape(np.shape(f))
+        return x[:, 0]
 
     def adjoint(self, f):
-        """x with Aᵀ x = f, as D A⁻¹ D⁻¹ f; f is (n,) or (n, m)."""
-        d = self.sym.reshape((-1,) + (1,) * (np.ndim(f) - 1))
-        return d * self.solve(f / d)
+        """x (n,) with Aᵀ x = f, as D A⁻¹ D⁻¹ f."""
+        return self.sym * self.solve(f / self.sym)
 
 
 # ---------------------------------------------------------------------------
@@ -995,12 +994,11 @@ class HarmonicField:
         return out
 
     def band(self):
-        """Values at x_i + m*h for m = 0..field_rows, shape (field_rows+1, nx),
-        or (field_rows+1, nx, m) for stacked data."""
+        """Values at x_i + m*h for m = 0..field_rows, shape (field_rows+1, nx)."""
         if self._band is None:
             d = self.domain
             nb = d.field_rows
-            F = np.empty((nb + 1,) + self.boundary_data.shape)
+            F = np.empty((nb + 1, d.nx))
             F[0] = self.boundary_data
             F[1:] = self.values[d.index(np.arange(d.nx), d.jb + np.arange(1, nb + 1)[:, None])]
             self._band = F
@@ -1094,11 +1092,7 @@ class BoundaryMeasure:
         Node cells are split proportionally when an endpoint falls inside,
         so grid-aligned endpoints contribute half their node mass.
         """
-        d = self.domain
-        lo = np.maximum(d.xs - d.h / 2, a)
-        hi = np.minimum(d.xs + d.h / 2, b)
-        frac = np.clip((hi - lo) / d.h, 0.0, 1.0)
-        return float(np.dot(frac, self.s_masses))
+        return float(arc_indicator(self.domain, a, b) @ self.s_masses)
 
 
 # ---------------------------------------------------------------------------
@@ -1163,14 +1157,10 @@ def _exit_row(domain: DiscreteDomain, mode, i, j):
 
 
 def harmonic_extension(domain: DiscreteDomain, boundary_fn) -> HarmonicField:
-    """Discrete Dirichlet extension of boundary data on the graph mesh.
-
-    The data are (nx,), or m data vectors stacked (nx, m) and extended by one
-    solve; the field of a stack serves ``band`` and ``rows``.
-    """
+    """Discrete Dirichlet extension of boundary data (nx,) on the graph mesh."""
     data = np.asarray(boundary_fn, dtype=float)
-    if data.shape[:1] != (domain.nx,) or data.ndim > 2:
-        raise ConfigError(f"boundary data must have shape ({domain.nx},) or ({domain.nx}, m)")
+    if data.shape != (domain.nx,):
+        raise ConfigError(f"boundary data must have shape ({domain.nx},)")
     if not np.all(np.isfinite(data)):
         raise ConfigError("boundary data must be finite")
     oracle = domain.far_field_oracle()

@@ -41,6 +41,12 @@ def wos_harmonic_measure(domain: DiscreteDomain, pole, n_samples: int,
     W = domain.config.box_halfwidth
     capped = 0
 
+    def bin_exits(pts):
+        exits = graph.project(pts, offset=offset)
+        cols = np.clip(np.round((exits[:, 0] + W) / domain.h), 0,
+                       domain.nx - 1).astype(np.int64)
+        np.add.at(counts, cols, 1)
+
     remaining = int(n_samples)
     while remaining > 0:
         m = min(_BATCH, remaining)
@@ -53,10 +59,7 @@ def wos_harmonic_measure(domain: DiscreteDomain, pole, n_samples: int,
             if np.any(stop):
                 idx = np.flatnonzero(active)
                 done = idx[stop]
-                exits = graph.project(pts[done], offset=offset)
-                cols = np.clip(np.round((exits[:, 0] + W) / domain.h), 0,
-                               domain.nx - 1).astype(np.int64)
-                np.add.at(counts, cols, 1)
+                bin_exits(pts[done])
                 active[done] = False
                 d = d[~stop]
             if not np.any(active):
@@ -66,12 +69,8 @@ def wos_harmonic_measure(domain: DiscreteDomain, pole, n_samples: int,
             pts[active] += steps
         else:
             # force-project stragglers; counted so callers can see the cap hit
-            idx = np.flatnonzero(active)
-            capped += len(idx)
-            exits = graph.project(pts[idx], offset=offset)
-            cols = np.clip(np.round((exits[:, 0] + W) / domain.h), 0,
-                           domain.nx - 1).astype(np.int64)
-            np.add.at(counts, cols, 1)
+            capped += int(active.sum())
+            bin_exits(pts[active])
 
     out = BoundaryMeasure(domain, counts / float(n_samples))
     out.capped_walks = capped

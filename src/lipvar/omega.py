@@ -30,7 +30,7 @@ from .errors import ConfigError, ConvergenceError, ResolutionError
 
 DEFAULT_EPS = 0.05
 OMEGA_TOL = 1e-3
-N_MAX = 12
+N_MAX = 12       # deepest dyadic level of omega_limit, read at call time
 
 
 # ---------------------------------------------------------------------------
@@ -159,22 +159,21 @@ class OmegaWorkspace:
             out = f if out is None else self.compose_entries(f, out)
         return out
 
-    def omega_entries(self, seg: Segment, eps: float, tol: float = OMEGA_TOL,
-                      n_max: int = N_MAX):
-        key = (round(seg.m, 12), round(seg.M, 12), round(eps, 12), tol, n_max)
+    def omega_entries(self, seg: Segment, eps: float, tol: float = OMEGA_TOL):
+        key = (round(seg.m, 12), round(seg.M, 12), round(eps, 12), tol)
         if key not in self._omega:
             # from the key: a cached limit is the same whichever call filled it
-            self._omega[key] = self._dyadic_limit(Segment(*key[:2]), key[2], tol, n_max)
+            self._omega[key] = self._dyadic_limit(Segment(*key[:2]), key[2], tol)
         return self._omega[key]
 
-    def _dyadic_limit(self, seg, eps, tol, n_max):
+    def _dyadic_limit(self, seg, eps, tol):
         if seg.m < 2 * self.domain.h - 1e-12:
             raise ResolutionError(
                 f"segment [{seg.m}, {seg.M}] below the 2h floor of the grid"
             )
         scale = float(np.abs(K.build_k(self.domain, seg.m, "power").entries).max())
         n_start = max(0, int(np.ceil(np.log2(1.0 / seg.length))) + 1)
-        n_max = max(n_max, n_start + 1)
+        n_max = max(N_MAX, n_start + 1)
         prev = None
         history = []
         for n in range(n_start, n_max + 1):
@@ -233,15 +232,14 @@ def pi_product(domain: DiscreteDomain, u: HarmonicField, seg: Segment,
 
 
 def omega_limit(domain: DiscreteDomain, u: HarmonicField, seg: Segment,
-                eps: float, tol: float = OMEGA_TOL,
-                n_max: int = N_MAX) -> K.BoundaryKernel:
+                eps: float, tol: float = OMEGA_TOL) -> K.BoundaryKernel:
     """Dyadic-refinement limit of the partition products on a segment.
 
     The kernel's ``meta`` records the per-level sup differences and the
     observed decay ratios (the construction predicts halving).
     """
     ws = _workspace(domain, u)
-    entries, history, scale = ws.omega_entries(seg, eps, tol, n_max)
+    entries, history, scale = ws.omega_entries(seg, eps, tol)
     diffs = [d for _, d in history]
     ratios = [b / a for a, b in zip(diffs[:-1], diffs[1:]) if a > 0]
     return K.BoundaryKernel(domain, entries, kind="omega",
@@ -257,8 +255,7 @@ def omega_limit(domain: DiscreteDomain, u: HarmonicField, seg: Segment,
 
 class OmegaLadder:
     """Prefix family Omega_{[y, 1]} at a set of ladder points, built once per
-    (u, eps) and read by the differential-equation check and
-    ``omega_rho_bounds``.
+    (u, eps) and read by ``ode_check`` and ``omega_rho_bounds``.
 
     Omega_[y,1] W is the matrix whose rows the adjoint sweep carries down
     from the identity masses, so one ``adjoint_sweep`` of that stack returns
@@ -403,21 +400,21 @@ def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
 # ---------------------------------------------------------------------------
 
 
-def omega_rho_bounds(domain: DiscreteDomain, u: HarmonicField, rho: float,
-                     eps: float) -> dict:
-    """Two-sided comparison of omega_[rho,1] with k_{1-rho}.
+def omega_rho_bounds(ladder: OmegaLadder, rho: float) -> dict:
+    """Two-sided comparison of omega_[rho,1], read from a ladder that has rho
+    among its points, with k_{1-rho}.
 
     Returns the smallest c_plus and largest c_minus with
 
-        c_minus rho^(c_minus eps) k <= omega_rho <= c_plus rho^(-c_plus eps) k,
+        c_minus rho^(c_minus eps) k <= omega_rho <= c_plus rho^(-c_plus eps) k
 
-    and the ladder's sweep step count as ``steps``.
+    at the ladder's eps, and the ladder's sweep step count as ``steps``.
     """
     if not (0 < rho < 0.5):
         raise ConfigError("rho must lie in (0, 1/2)")
-    ladder = OmegaLadder(domain, u, eps, [rho])
+    eps = ladder.eps
     om = ladder.omega_y(rho).entries
-    kref = K.build_k(domain, 1.0 - rho, "power").entries
+    kref = K.build_k(ladder.domain, 1.0 - rho, "power").entries
     floor = 1e-9 * kref.max()
     mask = kref > floor
     ratio = om[mask] / kref[mask]
@@ -491,9 +488,10 @@ def phi_property_check(domain: DiscreteDomain, u: HarmonicField, psi, seg: Segme
             "eps": eps}
 
 
-def ode_check(domain: DiscreteDomain, u: HarmonicField, phi: HarmonicField,
-              eps: float, y_grid) -> dict:
-    """Residual of d/dy Omega_y(phi_y) = eps Omega_y(B_y(phi_y)) on a y-grid.
+def ode_check(ladder: OmegaLadder, u: HarmonicField, phi: HarmonicField,
+              y_grid) -> dict:
+    """Residual of d/dy Omega_y(phi_y) = eps Omega_y(B_y(phi_y)) on a y-grid
+    of the ladder's points, at the ladder's eps.
 
     Central differences across the uniformly spaced grid are compared with
     the right-hand side at interior grid points.  Also evaluates the
@@ -506,7 +504,7 @@ def ode_check(domain: DiscreteDomain, u: HarmonicField, phi: HarmonicField,
     steps = np.diff(ys)
     if np.abs(steps - steps[0]).max() > 1e-9:
         raise ConfigError("y-grid must be uniformly spaced")
-    ladder = OmegaLadder(domain, u, eps, ys)
+    domain, eps = ladder.domain, ladder.eps
     keep = np.ones(domain.nx, dtype=bool)
     keep[domain.excluded_nodes] = False
 

@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels as K
-from .domain_field.grid import (
-    BoundaryMeasure,
-    DiscreteDomain,
-    HarmonicField,
-    harmonic_extension,
-    kernel_measure,
-)
+from .domain_field.grid import BoundaryMeasure, DiscreteDomain, HarmonicField, kernel_measure
 from .errors import ConfigError, ResolutionError
 from .omega import adjoint_sweep
 
@@ -116,14 +110,24 @@ class NuDiagnostics:
     steps: int
 
 
+def bump_extensions(domain: DiscreteDomain):
+    """nu_limit's test functions (N_ALPHA, nx): hat bumps' harmonic
+    extensions at SIGMA_HEIGHT, read as K_y of the bumps, one product with
+    the kernel band, whose rows are the exit masses of the closure
+    ``harmonic_extension`` solves."""
+    centers = np.linspace(-2.0, 2.0, N_ALPHA)
+    bumps = np.clip(1.0 - np.abs(domain.xs[:, None] - centers) / 0.5, 0.0, 1.0)
+    return K.apply_k(domain, SIGMA_HEIGHT, bumps).T
+
+
 def nu_limit(domain: DiscreteDomain, u: HarmonicField, kappa: BoundaryMeasure,
              eps: float, y_sequence=None) -> tuple:
     """Follow gamma_y down the y-sequence and report weak-convergence decay.
 
     Returns (nu, diagnostics): nu is the transformed measure at the smallest
     resolvable y; the diagnostics hold the smooth-test-function differences
-    (harmonic extensions of bumps at a fixed height) and their fitted decay
-    slope against y.  All gamma_y come from one ``adjoint_sweep``.
+    (``bump_extensions``) and their fitted decay slope against y.  All
+    gamma_y come from one ``adjoint_sweep``.
     """
     floor = 2 * domain.h
     if y_sequence is None:
@@ -137,10 +141,7 @@ def nu_limit(domain: DiscreteDomain, u: HarmonicField, kappa: BoundaryMeasure,
     gammas = dict(zip(ys, sweep))
     w = domain.hm_weights
 
-    centers = np.linspace(-2.0, 2.0, N_ALPHA)
-    bumps = np.clip(1.0 - np.abs(domain.xs[:, None] - centers) / 0.5, 0.0, 1.0)
-    alphas = harmonic_extension(domain, bumps).rows(SIGMA_HEIGHT).T
-
+    alphas = bump_extensions(domain)
     integrals = np.stack([alphas @ (gammas[y] * w) for y in ys], axis=1)
     diffs = np.abs(np.diff(integrals, axis=1))
     shifted = np.array([float(u.rows(y) @ (gammas[y] * w)) for y in ys])
@@ -239,7 +240,7 @@ def variation_ratio(u, kappa, eps, nu, variation, masks=()):
 
 
 def probe_ball(domain: DiscreteDomain, u: HarmonicField, ball: SurfaceBall,
-               z1=(0.0, 2.0), eps: float = 0.05, y_sequence=None,
+               z1=(0.0, 2.0), eps: float = 0.05,
                variation: VariationResult | None = None,
                nu: tuple | None = None) -> ProbeResult:
     """Locate a boundary node of controlled mean vertical variation in a ball.
@@ -248,9 +249,9 @@ def probe_ball(domain: DiscreteDomain, u: HarmonicField, ball: SurfaceBall,
     below z1, builds nu_eps, tabulates V, and returns the V-minimizer over
     the ball's nodes of non-negligible nu mass, with every link of the bound
     chain (variation integral, ball mass floor, pointwise extraction) logged.
-    ``variation`` and ``nu`` (the pair ``nu_limit`` returns for this kappa,
-    eps and y-sequence) may be passed in, so that the balls of one probe
-    configuration share them.
+    ``variation`` and ``nu`` (the pair ``nu_limit`` returns for this kappa
+    and eps) may be passed in, so that the balls of one probe configuration
+    share them; without ``nu`` it follows the default y-sequence.
     """
     L = domain.graph.lipschitz_constant
     if L > MAX_PROBE_SLOPE:
@@ -267,7 +268,7 @@ def probe_ball(domain: DiscreteDomain, u: HarmonicField, ball: SurfaceBall,
         raise ConfigError(f"ball {ball} contains no boundary nodes")
 
     kappa = kernel_measure(domain, (z1[0], z1[1] - 1.0))
-    nu, diag = nu if nu is not None else nu_limit(domain, u, kappa, eps, y_sequence)
+    nu, diag = nu if nu is not None else nu_limit(domain, u, kappa, eps)
     if variation is None:
         variation = vertical_variation(domain, u)
 

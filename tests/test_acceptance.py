@@ -24,7 +24,7 @@ from lipvar.domain_field import (
     kernel_measure,
     wos_harmonic_measure,
 )
-from lipvar.omega import Segment, omega_limit
+from lipvar.omega import OmegaLadder, Segment, omega_limit
 from lipvar.variation_measure import SurfaceBall, nu_limit, probe_ball
 
 EPS = 0.05
@@ -212,7 +212,7 @@ def test_acceptance_6_phi_property_and_ode(kernel_flat):
     stable = hi <= 2.0 * lo
 
     grid = np.round(np.arange(0.15, 0.951, 0.05), 10)
-    rel, abs0 = checks.ode_residuals(domain, u, EPS, grid)
+    rel, abs0 = checks.ode_residuals(OmegaLadder(domain, u, EPS, grid), u, grid)
 
     ok = stable and rel <= 5e-2 and abs0 <= 1e-3
     _line(6, ok, f"phi ratios {r1:.3f}/{r2:.3f} (factor <=2), "

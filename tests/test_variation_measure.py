@@ -10,7 +10,10 @@ from lipvar.domain_field import (
 )
 from lipvar.errors import ConfigError
 from lipvar.variation_measure import (
+    N_ALPHA,
+    SIGMA_HEIGHT,
     SurfaceBall,
+    bump_extensions,
     nu_limit,
     probe_ball,
     transform_measure,
@@ -125,12 +128,12 @@ def test_transform_requires_probability(flat_small):
 
 
 def test_transform_sandwich_with_rho_bounds(flat_small):
-    from lipvar.omega import omega_rho_bounds
+    from lipvar.omega import OmegaLadder, omega_rho_bounds
 
     domain, u = flat_small
     kappa = kernel_measure(domain, (0.0, 1.0))
     y = 0.25
-    rb = omega_rho_bounds(domain, u, y, EPS)
+    rb = omega_rho_bounds(OmegaLadder(domain, u, EPS, [y]), y)
     gamma = transform_measure(domain, u, kappa, y, EPS).density
     kimg = K.mass_rows(domain, 1.0 - y, "power").T @ kappa.s_masses / np.where(
         domain.hm_weights > 0, domain.hm_weights, 1.0)
@@ -175,6 +178,34 @@ def test_vector_paths_form_no_stencil_matrices(saw_small, monkeypatch):
     nu, _ = nu_limit(domain, u, kappa, EPS, y_sequence=(0.4, 0.2))
     V = vertical_variation(domain, u)
     assert abs(nu.total - 1.0) < 1e-2 and np.all(np.isfinite(V.values))
+
+
+@pytest.mark.parametrize("grid_name", ["flat_small", "saw_small", "oracle_flat"])
+def test_bump_extensions_are_the_dirichlet_extensions(grid_name, request):
+    # nu_limit's test functions are band products; they equal the Dirichlet
+    # extensions of the bumps read at SIGMA_HEIGHT, under either kernel
+    # closure (reflecting, and absorbing with the far-field oracle)
+    domain, _ = request.getfixturevalue(grid_name)
+    alphas = bump_extensions(domain)
+    centers = np.linspace(-2.0, 2.0, N_ALPHA)
+    assert alphas.shape == (N_ALPHA, domain.nx)
+    for alpha, c in zip(alphas, centers):
+        bump = np.clip(1.0 - np.abs(domain.xs - c) / 0.5, 0.0, 1.0)
+        ref = harmonic_extension(domain, bump).rows(SIGMA_HEIGHT)
+        assert np.abs(alpha - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_nu_limit_makes_no_strip_solve(saw_small, monkeypatch):
+    domain, u = saw_small
+    domain.kernel_table()
+    kappa = kernel_measure(domain, (0.0, 1.0))
+
+    def refuse(self, f):
+        raise AssertionError("nu_limit ran a Dirichlet solve")
+
+    monkeypatch.setattr(grid._StripSolver, "solve", refuse)
+    nu, diag = nu_limit(domain, u, kappa, EPS, y_sequence=(0.4, 0.2))
+    assert abs(nu.total - 1.0) < 1e-2 and np.all(np.isfinite(diag.alpha_diffs))
 
 
 def test_nu_rejects_sequence_below_floor(flat_small):
