@@ -187,9 +187,10 @@ def _field(cfg, domain, u, rng):
         edges = np.linspace(-2.0, 2.0, 11)
         worst_sig = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            se = max(np.sqrt(wm.arc_mass(a, b) * max(1 - wm.arc_mass(a, b), 0.0) / n), 1e-4)
-            worst_sig = max(worst_sig, abs(wm.arc_mass(a, b) - measure().arc_mass(a, b)) / se)
-        return worst_sig, worst_sig <= 3.0, {"n_samples": n}
+            p = wm.arc_mass(a, b)
+            se = max(np.sqrt(p * max(1 - p, 0.0) / n), 1e-4)
+            worst_sig = max(worst_sig, abs(p - measure().arc_mass(a, b)) / se)
+        return worst_sig, worst_sig <= 3.0, {"n_samples": n, "capped_walks": wm.capped_walks}
 
     yield "measure_total", "|total-1| <= 1e-6", lambda: _at_most(abs(measure().total - 1), 1e-6)
     yield "measure_nonnegative", "min mass >= -1e-12", nonnegative

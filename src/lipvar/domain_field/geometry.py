@@ -107,16 +107,19 @@ class LipschitzGraph:
 
     def distance(self, points, offset: float = 0.0):
         """Exact Euclidean distance from points (n,2) to the graph polyline."""
-        return self._nearest(points, offset)[0]
+        return self.nearest(points, offset)[0]
 
     def project(self, points, offset: float = 0.0):
         """Nearest boundary point for each input point: returns (n,2) array."""
-        return self._nearest(points, offset)[1]
+        return self.nearest(points, offset)[1]
 
-    def _nearest(self, points, offset):
-        """Distance to the polyline and the nearest point on it, one segment
-        at a time.  Segments are compared by the norm itself, not its square,
-        and a tie keeps the first segment's point."""
+    def nearest(self, points, offset: float = 0.0):
+        """Distance from points (n,2) to the polyline and the nearest point
+        on it, ``(dist (n,), proj (n,2))``, from one pass over the segments.
+
+        Segments are compared by the norm itself, not its square, and a tie
+        keeps the first segment's point.  Each point's result depends on that
+        point alone."""
         p = np.atleast_2d(np.asarray(points, dtype=float)).T  # (2, n)
         dist = np.full(p.shape[1], np.inf)
         proj = np.empty_like(p)

@@ -256,11 +256,20 @@ class DiscreteDomain:
 
     # -- assembly and solves -----------------------------------------------------
 
-    def _assemble(self, mode):
-        """5-point system A u = B s_data (+ X box_data for absorbing modes)."""
+    def _assemble(self, mode, nodes=None):
+        """5-point system A u = B s_data (+ X box_data for absorbing modes).
+
+        Given ``nodes`` (sorted interior indices), only their rows are built:
+        the matrices keep the full system's shape, hold its rows at ``nodes``
+        and are empty elsewhere.  ``None`` builds every row.
+        """
         nx, ny, jb, n = self.nx, self.ny, self.jb, self.n_interior
-        p = np.arange(n)
-        i = np.repeat(np.arange(nx), ny - 1 - jb)
+        if nodes is None:
+            p = np.arange(n)
+            i = np.repeat(np.arange(nx), ny - 1 - jb)
+        else:
+            p = np.asarray(nodes)
+            i = np.searchsorted(self.offsets, p, side="right") - 1
         j = p - self.offsets[i] + jb[i] + 1
         rows, cols = [p], [p]        # A: 4 on the diagonal, -1 per neighbour
         brows, bcols = [], []        # B: 1 per graph or wall neighbour
@@ -275,7 +284,7 @@ class DiscreteDomain:
                 # mirror ghosts: columns 1 and nx - 2, row ny - 2
                 ni = np.where(ni < 0, 1, np.where(ni >= nx, nx - 2, ni))
                 nj = np.where(nj >= ny, ny - 2, nj)
-                keep = np.ones(n, dtype=bool)
+                keep = np.ones(len(p), dtype=bool)
             else:
                 keep = (ni >= 0) & (ni < nx) & (nj < ny)
             xrows.append(p[~keep]); xcols.append(slot[~keep])
@@ -289,7 +298,7 @@ class DiscreteDomain:
         cat = np.concatenate
         brows, xrows = cat(brows), cat(xrows)
         vals = np.full(sum(map(len, rows)), -1.0)
-        vals[:n] = 4.0
+        vals[:len(p)] = 4.0
         A = sp.csr_matrix((vals, (cat(rows), cat(cols))), shape=(n, n))
         B = sp.csr_matrix((np.ones(len(brows)), (brows, cat(bcols))), shape=(n, nx))
         X = sp.csr_matrix((np.ones(len(xrows)), (xrows, cat(xcols))), shape=(n, n_box))
@@ -340,23 +349,28 @@ class DiscreteDomain:
         The nx right-hand sides are solved on the boundary strip, in chunks
         of columns.  Levels at or below the strip's top row are read from
         the strip; the others from the bottom rows of the box above it, the
-        only box rows built.  The pole masses (``hm_weights``) are the
-        kernel measure at the pole: a band row, or one ``adjoint`` solve.
+        only box rows built.  The band is filled by runs of columns that
+        share a graph row: a run's strip levels are one (columns × levels)
+        block of the strip, its box levels one block of the box's bottom
+        rows, and each block is copied into the band once.  The pole masses
+        (``hm_weights``) are the kernel measure at the pole: a band row, or
+        one ``adjoint`` solve.
         """
         if self._kernel_band is not None:
             return self._kernel_band
         if not self.is_interior(*self.snap_point(self.config.pole)):
             raise ConfigError("pole snapped onto the boundary")
-        nx, nb, jt = self.nx, self.band_rows, self.strip_top
+        nx, nb, jb, jt = self.nx, self.band_rows, self.jb, self.strip_top
         c = self._strip_solver(self.kernel_mode)
         B, X = c.B[c.strip], c.X[c.strip]  # B vanishes on the box
         oracle = self.far_field_oracle()
-        cols = np.arange(nx)
-        levels = self.jb + np.arange(1, nb + 1)[:, None]
-        rows = max(int(levels.max()) - jt, 0)  # box rows the band reaches
-        # strip values first, then the bottom box rows in box order
-        gather = np.where(levels <= jt, c.local(cols, np.minimum(levels, jt)),
-                          len(c.strip) + cols * rows + levels - jt - 1)
+        rows = max(int(jb.max()) + nb - jt, 0)  # box rows the band reaches
+        # per run [a, b) of graph row jw: its strip block starts at
+        # local(a, jw + 1) and holds jt - jw levels per column, of which the
+        # band takes the first k; the box gives the other nb - k
+        ends = np.append(np.flatnonzero(np.diff(jb)) + 1, nx)
+        runs = [(a, b, c.local(a, jb[a] + 1), jt - jb[a], min(nb, jt - jb[a]))
+                for a, b in zip(np.append(0, ends[:-1]), ends)]
         band = np.empty((nb + 1, nx, nx))
         band[0] = np.eye(nx)
         for lo in range(0, nx, _SOLVE_CHUNK):
@@ -367,10 +381,15 @@ class DiscreteDomain:
                 rhs += X @ oracle[:, lo:hi]
                 # the box's bottom row also feeds the strip's top row
                 modes = c.slot_modes(oracle[:, lo:hi], max(rows, 1))
-            sol = c.solve_strip(rhs, modes)
+            sol, box = c.solve_strip(rhs, modes), None
             if rows:
-                sol = np.concatenate([sol, c.box_values(modes, sol[c.top], rows=rows)])
-            band[1:, :, lo:hi] = sol[gather, :]
+                box = c.box_values(modes, sol[c.top], rows=rows).reshape(nx, rows, -1)
+            for a, b, start, depth, k in runs:
+                block = sol[start:start + (b - a) * depth].reshape(b - a, depth, -1)
+                band[1:k + 1, a:b, lo:hi] = block[:, :k].transpose(1, 0, 2)
+                if k < nb:
+                    band[k + 1:, a:b, lo:hi] = box[a:b, :nb - k].transpose(1, 0, 2)
+            del sol, box, block  # freed before the next chunk's solve
         self._kernel_band = band
         self._weights = kernel_measure(self, self.config.pole).s_masses
         return band
@@ -788,6 +807,11 @@ class _StripSolver:
     5. rebuilds the box, or only its bottom rows: the step-1 values plus
        the modal propagation of the top row.
 
+    Of the closure's system only the strip's rows and the box's wall nodes
+    (side columns and top row) are assembled: the factors read A on the
+    strip alone, B vanishes on the box and X reaches it only on its walls,
+    so ``B`` and ``X`` are the whole system's.
+
     Transposed solves need no factors of their own.  A mirrored neighbour
     couples twice, so under the reflecting closure D A is symmetric for the
     diagonal D (``sym``) that is ½ on the end columns and the top row, ¼ at
@@ -796,15 +820,18 @@ class _StripSolver:
     """
 
     def __init__(self, domain, mode):
-        A, self.B, self.X = domain._assemble(mode)
         nx, ny, jb, jt = domain.nx, domain.ny, domain.jb, domain.strip_top
         self.rows = ny - 1 - jt
         self._ny = ny
         # each column keeps its first jt - jb nodes in the strip
         self._base = domain.offsets[:-1] - jb - 1 - self.rows * np.arange(nx)
         i = np.repeat(np.arange(nx), ny - 1 - jb)
-        in_box = np.arange(domain.n_interior) - domain.offsets[i] >= jt - jb[i]
+        j = np.arange(domain.n_interior) - domain.offsets[i] + jb[i] + 1
+        in_box = j > jt
         self.strip, self.box = np.flatnonzero(~in_box), np.flatnonzero(in_box)
+        # the rows read: the strip's, and X's on the box walls
+        wall = (i == 0) | (i == nx - 1) | (j == ny - 1)
+        A, self.B, self.X = domain._assemble(mode, np.flatnonzero(~in_box | wall))
         self.sym = np.ones(domain.n_interior)
         if mode == "reflect":
             o = domain.offsets  # column i holds o[i] .. o[i+1] - 1, top row last

@@ -22,8 +22,10 @@ def wos_harmonic_measure(domain: DiscreteDomain, pole, n_samples: int,
                          seed: int | None = None) -> BoundaryMeasure:
     """Monte Carlo harmonic measure from a pole, binned to boundary nodes.
 
-    Deterministic for a fixed seed.  The returned measure carries a per-node
-    standard error estimate.
+    Deterministic for a fixed seed.  The returned measure carries
+    ``capped_walks``, the walks force-projected at the step cap.  One
+    ``nearest`` pass per step gives the live walks' distances and, for the
+    walks that stop, their exit points.
     """
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
@@ -41,8 +43,7 @@ def wos_harmonic_measure(domain: DiscreteDomain, pole, n_samples: int,
     W = domain.config.box_halfwidth
     capped = 0
 
-    def bin_exits(pts):
-        exits = graph.project(pts, offset=offset)
+    def bin_exits(exits):
         cols = np.clip(np.round((exits[:, 0] + W) / domain.h), 0,
                        domain.nx - 1).astype(np.int64)
         np.add.at(counts, cols, 1)
@@ -51,26 +52,23 @@ def wos_harmonic_measure(domain: DiscreteDomain, pole, n_samples: int,
     while remaining > 0:
         m = min(_BATCH, remaining)
         remaining -= m
+        # the live walks, compacted in their starting order: each step's
+        # draws go to them in that order
         pts = np.tile(np.array([px, py]), (m, 1))
-        active = np.ones(m, dtype=bool)
         for _ in range(_MAX_STEPS):
-            d = graph.distance(pts[active], offset=offset)
+            d, exits = graph.nearest(pts, offset=offset)
             stop = d < delta
             if np.any(stop):
-                idx = np.flatnonzero(active)
-                done = idx[stop]
-                bin_exits(pts[done])
-                active[done] = False
-                d = d[~stop]
-            if not np.any(active):
+                bin_exits(exits[stop])
+                pts, d = pts[~stop], d[~stop]
+            if not len(pts):
                 break
             theta = rng.uniform(0.0, 2 * np.pi, size=d.shape)
-            steps = np.column_stack([d * np.cos(theta), d * np.sin(theta)])
-            pts[active] += steps
+            pts += np.column_stack([d * np.cos(theta), d * np.sin(theta)])
         else:
             # force-project stragglers; counted so callers can see the cap hit
-            capped += int(active.sum())
-            bin_exits(pts[active])
+            capped += len(pts)
+            bin_exits(graph.project(pts, offset=offset))
 
     out = BoundaryMeasure(domain, counts / float(n_samples))
     out.capped_walks = capped

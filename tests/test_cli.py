@@ -80,6 +80,9 @@ def test_verify_field_passes_and_is_deterministic(cfg_path, tmp_path):
     r1 = Path(out1, "verify_field.json").read_bytes()
     r2 = Path(out2, "verify_field.json").read_bytes()
     assert r1 == r2
+    # the WoS record reports the walks force-projected at the step cap
+    wos = next(c for c in json.loads(r1)["checks"] if c["name"] == "wos_oracle")
+    assert wos["capped_walks"] == 0
 
 
 def test_verify_all_passes_on_sawtooth(tmp_path):

@@ -15,6 +15,7 @@ from lipvar.domain_field import (
     harmonic_extension,
     harmonic_measure,
     kernel_measure,
+    wos,
     wos_harmonic_measure,
 )
 from lipvar.errors import ConfigError, ResolutionError
@@ -288,6 +289,58 @@ def test_wos_vs_direct_on_sawtooth_coarse_arcs(saw_small):
         se = max(np.sqrt(p * (1 - p) / n), 1e-3)
         # small box: allow the truncation bias of the direct solve on top
         assert abs(p - dm.arc_mass(a, b)) <= 3 * se + 0.02
+
+
+def _wos_reference(domain, pole, n, seed):
+    """The sampler over a mask of live walks in a fixed array: ``distance``
+    on every live walk each step, then ``project`` on the ones that stop.
+    The reference for the compacted walks of ``wos_harmonic_measure``."""
+    graph, offset, h = domain.graph, domain.config.graph_offset, domain.h
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(domain.nx, dtype=np.int64)
+    capped = 0
+
+    def bin_exits(pts):
+        exits = graph.project(pts, offset=offset)
+        cols = np.round((exits[:, 0] + domain.config.box_halfwidth) / h)
+        np.add.at(counts, np.clip(cols, 0, domain.nx - 1).astype(np.int64), 1)
+
+    for lo in range(0, n, wos._BATCH):
+        m = min(wos._BATCH, n - lo)
+        pts = np.tile(np.array(pole, dtype=float), (m, 1))
+        active = np.ones(m, dtype=bool)
+        for _ in range(wos._MAX_STEPS):
+            d = graph.distance(pts[active], offset=offset)
+            stop = d < h / 2
+            done = np.flatnonzero(active)[stop]
+            bin_exits(pts[done])
+            active[done] = False
+            d = d[~stop]
+            if not active.any():
+                break
+            theta = rng.uniform(0.0, 2 * np.pi, size=d.shape)
+            pts[active] += np.column_stack([d * np.cos(theta), d * np.sin(theta)])
+        else:
+            capped += int(active.sum())
+            bin_exits(pts[active])
+    return counts / float(n), capped
+
+
+@pytest.mark.parametrize("max_steps", [None, 6])
+def test_wos_matches_the_masked_reference(saw_small, monkeypatch, max_steps):
+    # the live walks are compacted in their order, so each walk meets the
+    # same draws as in the masked loop: the masses are equal bit for bit,
+    # over several batches (the last one partial) and with the step cap hit
+    domain, _ = saw_small
+    assert domain.graph.breakpoints[1][1] > 0  # teeth up
+    monkeypatch.setattr(wos, "_BATCH", 700)
+    if max_steps is not None:
+        monkeypatch.setattr(wos, "_MAX_STEPS", max_steps)
+    m = wos_harmonic_measure(domain, (0.0, 1.5), 2000, seed=11)
+    masses, capped = _wos_reference(domain, (0.0, 1.5), 2000, seed=11)
+    assert np.array_equal(m.s_masses, masses)
+    assert m.capped_walks == capped
+    assert (capped > 0) == (max_steps is not None)
 
 
 def test_arc_mass_halves_endpoint_cells(flat_small):
@@ -737,6 +790,38 @@ def _assemble_loop(domain, mode):
     return (sp.csr_matrix((vals, (rows, cols)), shape=(n, n)),
             sp.csr_matrix((bvals, (brows, bcols)), shape=(n, nx)),
             sp.csr_matrix((xvals, (xrows, xcols)), shape=(n, n_box)))
+
+
+@pytest.mark.parametrize("mode", ["reflect", "absorb"])
+@pytest.mark.parametrize("name", list(_STRIP_GRIDS))
+def test_subset_assembly_is_the_full_systems_rows(name, mode, monkeypatch):
+    # rows at the given nodes equal the full system's, the others are empty;
+    # the strip solver's nodes hold every row of B and X, so its B and X are
+    # the full system's
+    domain = build_domain(_STRIP_GRIDS[name])
+    n = domain.n_interior
+    assemble = domain._assemble
+    full = assemble(mode)
+    asked = []
+
+    def spy(mode, nodes=None):
+        asked.append(nodes)
+        return assemble(mode, nodes)
+
+    monkeypatch.setattr(domain, "_assemble", spy)
+    c = domain._strip_solver(mode)
+    (solver_nodes,) = asked
+    assert np.isin(c.strip, solver_nodes).all()
+    rng = np.random.default_rng(5)
+    for nodes in (solver_nodes, np.sort(rng.choice(n, n // 3, replace=False)),
+                  np.arange(n), np.zeros(0, dtype=int)):
+        others = np.setdiff1d(np.arange(n), nodes)
+        for sub, ref in zip(assemble(mode, nodes), full):
+            assert sub.shape == ref.shape
+            assert (sub[nodes] != ref[nodes]).nnz == 0
+            assert sub[others].nnz == 0
+    for sub, ref in zip((c.B, c.X), full[1:]):
+        assert (sub != ref).nnz == 0
 
 
 @pytest.mark.parametrize("mode", ["reflect", "absorb"])
