@@ -438,9 +438,10 @@ class DiscreteDomain:
 
         Returns ``(dx, dy)``: (east - west) / 2h and (north - south) / 2h,
         each an (nx, nx) row matrix, linear in y between grid levels.  Only
-        consumers of the whole matrices read them: ``kernels.build_c`` and
-        the adjoint sweep of a stack of rows.  Vector consumers take
-        ``stencil_vecmat`` or ``stencil_matvec``, which never form them.
+        ``kernels.c_masses`` reads them, for the whole c_y of ``build_c``,
+        the Omega cells and the adjoint sweep of a stack of rows; vector
+        consumers take ``stencil_vecmat`` or ``stencil_matvec``, which never
+        form them.
         """
         return self._band_stencil(self.kernel_table(), y)
 

@@ -7,7 +7,10 @@ densities against the pole measure: the Martin-type kernel at height y is
 
 where w is the pole measure of the kernel closure.  Composition integrates
 the middle variable against w, so operators act on boundary functions f via
-``entries @ (w * f)``.
+``entries @ (w * f)``.  In exit-mass form, entries times w, composition is a
+plain matrix product, (p W)(q W) = (p o q) W: the b-cells and the omega
+construction's products stay in that form and turn into densities once, in
+``_mass_to_kernel``.
 
 Two realizations of the k-family coexist:
 
@@ -118,6 +121,14 @@ def compose(p: BoundaryKernel, q: BoundaryKernel) -> BoundaryKernel:
                           meta={"left": p.meta, "right": q.meta})
 
 
+def c_masses(domain: DiscreteDomain, u: HarmonicField, y: float):
+    """Exit-mass rows of c_y, a fresh array: row i is the central difference
+    of the mass rows at x_i + y along the unit gradient of u at x_i + 2y."""
+    sx, sy, _ = u.sigma_rows(2 * y)
+    dx, dy = domain.stencil_rows(y)
+    return sx[:, None] * dx + sy[:, None] * dy
+
+
 def build_c(domain: DiscreteDomain, u: HarmonicField, y: float) -> BoundaryKernel:
     """Directional-derivative kernel at height y.
 
@@ -126,10 +137,8 @@ def build_c(domain: DiscreteDomain, u: HarmonicField, y: float) -> BoundaryKerne
     """
     if y < 2 * domain.h - 1e-12:
         raise ResolutionError(f"height {y} below the 2h resolution floor")
-    sx, sy, _ = u.sigma_rows(2 * y)
-    dx, dy = domain.stencil_rows(y)
-    rows = sx[:, None] * dx + sy[:, None] * dy
-    return BoundaryKernel(domain, _mass_to_kernel(domain, rows), kind="c", meta={"y": y})
+    return BoundaryKernel(domain, _mass_to_kernel(domain, c_masses(domain, u, y)),
+                          kind="c", meta={"y": y})
 
 
 def build_b(domain: DiscreteDomain, u: HarmonicField, y: float,
@@ -141,23 +150,38 @@ def build_b(domain: DiscreteDomain, u: HarmonicField, y: float,
     return b
 
 
+def b_masses(domain: DiscreteDomain, k_rows, c):
+    """b_y W = (k_y W)(c_y W) from the exit-mass rows of k_y and of c_y
+    (``c_masses``), single or stacked.
+
+    c is zeroed in place on the excluded rows, which stand for k_y's zero
+    columns, and on the excluded columns, c_y's own.
+    """
+    excl = domain.excluded_nodes
+    c[..., excl, :] = 0.0
+    c[..., excl] = 0.0
+    return k_rows @ c
+
+
 def cell_kernels(domain: DiscreteDomain, u: HarmonicField, k: int, family: str):
-    """b_y at the four nodes of height cell k (``DiscreteDomain.cell_nodes``),
-    stacked (4, nx, nx)."""
+    """b_y W at the four nodes of height cell k (``DiscreteDomain.cell_nodes``),
+    in exit-mass form, stacked (4, nx, nx)."""
     ys = domain.cell_nodes(k)
-    if family != "power":
-        return np.stack([build_b(domain, u, y, family).entries for y in ys])
-    # on the power family b_y = k_y o c_y is G^(y/h) applied to c_y with its
-    # excluded rows zeroed (k_y's zero columns)
-    c = np.stack([build_c(domain, u, y).entries for y in ys])
-    c[:, domain.excluded_nodes, :] = 0.0
-    return domain.cell_powers(k) @ c
+    if family == "power":
+        rows = domain.cell_powers(k)
+    else:
+        rows = np.stack([mass_rows(domain, y, family) for y in ys])
+    return b_masses(domain, rows, np.stack([c_masses(domain, u, y) for y in ys]))
 
 
 def cell_sum(rule, cells):
     """Sum over a height rule [(k, weights)] of the weighted node kernels of
-    each cell, where ``cells(k)`` returns cell k's stack."""
-    return sum(np.tensordot(w, cells(k), axes=1) for k, w in rule)
+    each cell, where ``cells(k)`` returns cell k's stack; a fresh array."""
+    terms = (np.tensordot(w, cells(k), axes=1) for k, w in rule)
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
 
 
 def build_b_segment(domain: DiscreteDomain, u: HarmonicField, segment,
@@ -168,7 +192,8 @@ def build_b_segment(domain: DiscreteDomain, u: HarmonicField, segment,
     takes ``DiscreteDomain.height_rule``: four Gauss-Legendre nodes on every
     cell between kinks, near rounding on whole cells (8e-15 relative on the
     flat h = 0.05 grid), a cubic interpolant on partial ones, and additive
-    under any split.  ``meta["panels"]`` is the number of cells.
+    under any split.  The cells are summed in exit-mass form, and the sum
+    turns into densities once.  ``meta["panels"]`` is the number of cells.
     """
     a, b = (segment.m, segment.M) if hasattr(segment, "m") else (float(segment[0]), float(segment[1]))
     if b <= a:
@@ -176,8 +201,8 @@ def build_b_segment(domain: DiscreteDomain, u: HarmonicField, segment,
     if a < 2 * domain.h - 1e-12:
         raise ResolutionError(f"segment lower endpoint {a} below the 2h floor")
     rule = domain.height_rule(a, b)
-    entries = cell_sum(rule, lambda k: cell_kernels(domain, u, k, family))
-    return BoundaryKernel(domain, entries, kind="b_segment",
+    masses = cell_sum(rule, lambda k: cell_kernels(domain, u, k, family))
+    return BoundaryKernel(domain, _mass_to_kernel(domain, masses), kind="b_segment",
                           meta={"segment": (a, b), "panels": len(rule),
                                 "family": family})
 

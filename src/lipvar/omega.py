@@ -116,10 +116,17 @@ class OmegaWorkspace:
 
     Every b_seg is a weighted sum of node kernels b_y on the kink cells of
     ``DiscreteDomain.height_rule``, so ``_b`` keeps, per height cell k, its
-    four node kernels stacked (4, nx, nx); a cell is built once and serves
-    every segment that touches it.  The workspace lives in ``u``'s own cache
-    and holds ``u`` weakly, so a dropped ``u`` frees its workspace at once,
-    without the cyclic collector.
+    four node kernels in exit-mass form, b_y W, stacked (4, nx, nx); a cell
+    is built once and serves every segment that touches it.
+
+    The factors and their products stay in exit-mass form, where composition
+    is a plain matrix product: a factor is the masses of k_{|seg|} - eps b_seg,
+    and each product zeroes the excluded rows of the running product first,
+    which drops the factor's excluded columns as the densities' zero columns
+    would.  A partition's product turns into densities once, at its end.
+
+    The workspace lives in ``u``'s own cache and holds ``u`` weakly, so a
+    dropped ``u`` frees its workspace at once, without the cyclic collector.
     """
 
     def __init__(self, domain: DiscreteDomain, u: HarmonicField):
@@ -136,6 +143,7 @@ class OmegaWorkspace:
         return K.mass_rows(self.domain, y, "power")
 
     def b_entries(self, seg: Segment):
+        """b_seg W, in a fresh array."""
         return K.cell_sum(self.domain.height_rule(seg.m, seg.M), self._cell_kernels)
 
     def _cell_kernels(self, k: int):
@@ -144,20 +152,27 @@ class OmegaWorkspace:
         return self._b[k]
 
     def omega_tilde_entries(self, seg: Segment, eps: float):
-        kpart = K.build_k(self.domain, seg.length, "power").entries
+        """Masses of k_{|seg|} - eps b_seg, in a fresh array (the cached
+        power rows are never written)."""
+        k = self.k_rows(seg.length)
         if eps == 0.0:
-            return kpart
-        return kpart - eps * self.b_entries(seg)
-
-    def compose_entries(self, left, right):
-        return (left * self.domain.hm_weights[None, :]) @ right
+            return k.copy()
+        out = self.b_entries(seg)
+        out *= -eps
+        out += k
+        return out
 
     def pi_entries(self, partition: Partition, eps: float):
+        """Densities of the partition's product of factors."""
+        excl = self.domain.excluded_nodes
         out = None
         for seg in partition.segments:  # increasing order; first factor acts first
             f = self.omega_tilde_entries(seg, eps)
-            out = f if out is None else self.compose_entries(f, out)
-        return out
+            if out is not None:
+                out[excl, :] = 0.0
+                f = f @ out
+            out = f
+        return K._mass_to_kernel(self.domain, out)
 
     def omega_entries(self, seg: Segment, eps: float, tol: float = OMEGA_TOL):
         key = (round(seg.m, 12), round(seg.M, 12), round(eps, 12), tol)
@@ -214,8 +229,8 @@ def omega_tilde(domain: DiscreteDomain, u: HarmonicField, seg: Segment,
     if not (0 <= eps):
         raise ConfigError("eps must be nonnegative")
     ws = _workspace(domain, u)
-    return K.BoundaryKernel(domain, ws.omega_tilde_entries(seg, eps),
-                            kind="omega_tilde",
+    entries = K._mass_to_kernel(domain, ws.omega_tilde_entries(seg, eps))
+    return K.BoundaryKernel(domain, entries, kind="omega_tilde",
                             meta={"segment": (seg.m, seg.M), "eps": eps})
 
 
@@ -324,7 +339,7 @@ def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
     The masses rho_y = kappa^T (Omega_[y,1] W) of the transformed measure
     solve rho' = -rho A(y) down from rho_1 = kappa, where in mass form
     A(y) = log(G)/h - eps b_y W and b_y W = G^(y/h) c_y, with c_y's dead
-    rows and excluded rows and columns zeroed as in ``kernels.cell_kernels``.
+    rows and excluded rows and columns zeroed as in ``kernels.b_masses``.
     The k-part is taken exactly, as rho G^theta (``row_power``); the eps-part
     by Lawson's fourth-order Runge-Kutta, an exponential integrator, with one
     step per h/2 cell and two below 4h, cut at every point of ys.
@@ -332,11 +347,11 @@ def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
     At eps = 0 there is no eps-part, and a step is the k-part alone.
     The eps-part of a row reads c_y through the matrix-free
     ``DiscreteDomain.stencil_vecmat``, O(nx^2) per stage from a few band
-    levels; a stack of nx rows pays for the dense ``stencil_rows`` once per
-    height, which its O(nx^3) stage products then share.
+    levels; a stack of nx rows forms the coupling -eps b_y W once per height
+    (``kernels.b_masses``), and each of its stages is then one product.
 
     Returns (gammas, steps): gammas[i] is the density at ys[i] against the
-    pole measure (rho / ``safe_weights``, zero on the excluded nodes).
+    pole measure (``kernels._mass_to_kernel`` of rho).
     """
     ys = [float(y) for y in ys]
     if min(ys) < 2 * domain.h - 1e-12:
@@ -349,23 +364,19 @@ def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
 
     def coupling(t):
         """v -> -eps (v G^(y/h)) c_y at y = t h/2.  A row takes the
-        matrix-free stencil product; a stack of rows forms the stencil
-        matrices once for every stage at that height."""
+        matrix-free stencil product; a stack of rows reads the coupling
+        matrix, formed once for every stage at that height."""
         y = t * half
-        sx, sy, _ = u.sigma_rows(2 * y)  # zero on dead rows
         if stack:
-            dx, dy = domain.stencil_rows(y)
-
-            def stencil(q):
-                return (q * sx) @ dx + (q * sy) @ dy
-        else:
-            def stencil(q):
-                return domain.stencil_vecmat(y, q * sx, q * sy)
+            m = K.b_masses(domain, domain.row_power(None, t / 2), K.c_masses(domain, u, y))
+            m *= -eps
+            return lambda v: v @ m
+        sx, sy, _ = u.sigma_rows(2 * y)  # zero on dead rows
 
         def n(v):
             q = domain.row_power(v, t / 2)
             q[..., excl] = 0.0
-            out = stencil(q)
+            out = domain.stencil_vecmat(y, q * sx, q * sy)
             out[..., excl] = 0.0
             return -eps * out
         return n
@@ -390,9 +401,7 @@ def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
             r = domain.row_power(r, 2 * theta)
         if tb in seq:
             rho[tb] = r
-    gammas = np.stack([rho[t] for t in seq]) / domain.safe_weights
-    gammas[..., excl] = 0.0
-    return gammas, len(cuts) - 1
+    return K._mass_to_kernel(domain, np.stack([rho[t] for t in seq])), len(cuts) - 1
 
 
 # ---------------------------------------------------------------------------

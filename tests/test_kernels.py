@@ -295,6 +295,19 @@ def _refined_power_b(domain, u, a, b, n=6, sub=2):
     return total
 
 
+@pytest.mark.parametrize("grid", ["flat_small", "saw_small"])
+def test_b_segment_martin_cell_matches_node_kernels(grid, request):
+    # one whole cell: its four Gauss nodes, weighted and summed with build_b
+    domain, u = request.getfixturevalue(grid)
+    k, half = 6, domain.h / 2
+    _, gw = np.polynomial.legendre.leggauss(4)
+    ref = sum(w * half / 2 * K.build_b(domain, u, y, "martin").entries
+              for w, y in zip(gw, domain.cell_nodes(k)))
+    b = K.build_b_segment(domain, u, (k * half, (k + 1) * half), family="martin")
+    assert b.meta["panels"] == 1
+    assert _rel_sup(b.entries, ref) <= 1e-13
+
+
 # (grid, segment with ends on multiples of h/2): the flat grid takes the eigen
 # path in real arithmetic, the tall sawtooth the log path.  Near its 2h floor
 # the tall sawtooth's b_y varies fast enough for the four-node cells to miss

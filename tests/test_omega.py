@@ -36,6 +36,12 @@ from lipvar.omega import (
 )
 
 EPS = 0.05
+SWEEP_GRIDS = pytest.mark.parametrize("grid", ["flat_small", "saw_tall_u"],
+                                      ids=["eigen", "log"])
+
+
+def _rel_sup(a, ref):
+    return float(np.abs(a - ref).max() / np.abs(ref).max())
 
 
 # -- segments and partitions ---------------------------------------------------
@@ -191,6 +197,38 @@ def test_pi_partition_must_cover(flat_small):
     with pytest.raises(ConfigError):
         pi_product(domain, u, Segment(0.2, 0.4),
                    Partition((Segment(0.2, 0.3),)), EPS)
+
+
+def _density_chain(domain, u, seg, n):
+    """The level-n dyadic product as a chain of ``kernels.compose`` over the
+    ``omega_tilde`` densities, the first factor acting first."""
+    out = None
+    for piece in dyadic_partition(seg, n).segments:
+        f = omega_tilde(domain, u, piece, EPS)
+        out = f if out is None else K.compose(f, out)
+    return out.entries
+
+
+@SWEEP_GRIDS
+def test_pi_mass_products_match_density_chain(grid, request):
+    domain, u = request.getfixturevalue(grid)
+    seg = Segment(0.2, 0.4)
+    pi = pi_product(domain, u, seg, dyadic_partition(seg, 5), EPS).entries
+    assert _rel_sup(pi, _density_chain(domain, u, seg, 5)) <= 1e-13
+
+
+def test_pi_mass_products_drop_excluded_nodes(monkeypatch):
+    # with the two far-corner nodes excluded, a factor's masses there must not
+    # reach the next product: the density chain's zero columns drop them
+    monkeypatch.setattr(grid, "NEGLIGIBLE_MASS", 2e-3)
+    domain = build_domain(DomainConfig(LipschitzGraph.flat(), 5.0, 5.0, 0.1, (0.0, 1.0)))
+    u = harmonic_extension(domain, arc_indicator(domain, -1.0, 1.0))
+    ex = domain.excluded_nodes
+    assert len(ex)
+    seg = Segment(0.2, 0.4)
+    pi = pi_product(domain, u, seg, dyadic_partition(seg, 5), EPS).entries
+    assert not pi[:, ex].any()
+    assert _rel_sup(pi, _density_chain(domain, u, seg, 5)) <= 1e-13
 
 
 # -- the dyadic limit -----------------------------------------------------------------
@@ -401,14 +439,6 @@ def test_ladder_identity_at_top(flat_small):
 
 
 # -- the adjoint sweep ----------------------------------------------------------------------
-
-SWEEP_GRIDS = pytest.mark.parametrize("grid", ["flat_small", "saw_tall_u"],
-                                      ids=["eigen", "log"])
-
-
-def _rel_sup(a, ref):
-    return float(np.abs(a - ref).max() / np.abs(ref).max())
-
 
 @SWEEP_GRIDS
 def test_adjoint_sweep_matches_romberg_over_pi_products(grid, request):
