@@ -92,9 +92,10 @@ class RunConfig:
             raise ConfigError("segments must hold exactly one [m, M] pair of numbers")
         if seg.M > 1.0:
             raise ConfigError(f"segment top {seg.M} above 1, where the kernel band ends")
-        balls = tuple(raw.get("balls", ({"center": (0.0, 0.0), "radius": 0.5},)))
-        if not balls:
-            raise ConfigError("balls must hold at least one ball")
+        balls = raw.get("balls", [{"center": (0.0, 0.0), "radius": 0.5}])
+        if not (isinstance(balls, list) and balls):
+            raise ConfigError("balls must be a list of at least one ball")
+        balls = tuple(_ball(n, b) for n, b in enumerate(balls))
         wos = raw.get("wos_samples", 20000)
         if not _is_number(wos) or wos != int(wos) or wos < 1:
             raise ConfigError("wos_samples must be an integer >= 1")
@@ -120,6 +121,20 @@ class RunConfig:
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and bool(np.isfinite(v))
+
+
+def _ball(n: int, b) -> dict:
+    """Ball n of the config as {"center": (x, y), "radius": r}: a center of
+    two finite numbers and a positive finite radius, and no other key;
+    anything else is a ConfigError."""
+    if not isinstance(b, dict) or set(b) != {"center", "radius"}:
+        raise ConfigError(f"balls[{n}] must hold exactly the keys center and radius")
+    c, r = b["center"], b["radius"]
+    if not (isinstance(c, (list, tuple)) and len(c) == 2 and all(map(_is_number, c))):
+        raise ConfigError(f"balls[{n}] center must hold two finite numbers")
+    if not (_is_number(r) and r > 0):
+        raise ConfigError(f"balls[{n}] radius must be a positive finite number")
+    return {"center": (float(c[0]), float(c[1])), "radius": float(r)}
 
 
 def _numbers(raw: dict, key: str, default, what: str, valid) -> tuple | None:

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import lu_factor, lu_solve
@@ -349,10 +351,13 @@ class DiscreteDomain:
         The nx right-hand sides are solved on the boundary strip, in chunks
         of columns.  Levels at or below the strip's top row are read from
         the strip; the others from the bottom rows of the box above it, the
-        only box rows built.  The band is filled by runs of columns that
-        share a graph row: a run's strip levels are one (columns × levels)
-        block of the strip, its box levels one block of the box's bottom
-        rows, and each block is copied into the band once.  The pole masses
+        only box rows built.  A chunk's box is laid out (box rows, chunk
+        columns, nx), so that both of the box's transforms run along the
+        contiguous last axis (``_StripSolver.box_block``).  The band is
+        filled by runs of columns that share a graph row: a run's strip
+        levels are one (columns × levels) block of the strip, its box levels
+        one (rows × chunk × columns) block of the box, and each block is
+        copied into the band once.  The pole masses
         (``hm_weights``) are the kernel measure at the pole: a band row, or
         one ``adjoint`` solve.
         """
@@ -383,12 +388,12 @@ class DiscreteDomain:
                 modes = c.slot_modes(oracle[:, lo:hi], max(rows, 1))
             sol, box = c.solve_strip(rhs, modes), None
             if rows:
-                box = c.box_values(modes, sol[c.top], rows=rows).reshape(nx, rows, -1)
+                box = c.box_block(modes, sol[c.top], rows=rows)
             for a, b, start, depth, k in runs:
                 block = sol[start:start + (b - a) * depth].reshape(b - a, depth, -1)
                 band[1:k + 1, a:b, lo:hi] = block[:, :k].transpose(1, 0, 2)
                 if k < nb:
-                    band[k + 1:, a:b, lo:hi] = box[a:b, :nb - k].transpose(1, 0, 2)
+                    band[k + 1:, a:b, lo:hi] = box[:nb - k, :, a:b].transpose(0, 2, 1)
             del sol, box, block  # freed before the next chunk's solve
         self._kernel_band = band
         self._weights = kernel_measure(self, self.config.pole).s_masses
@@ -710,7 +715,9 @@ class _Wing:
         self.nodes = nodes
         self.gamma = np.concatenate([nodes[:, :, -1], nodes[:, -1, :-1]], axis=1).ravel()
         k = np.arange(1, m + 1)
-        self.P = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+        # the sine's argument reduced to one period before it is scaled by π
+        kl = np.outer(k, k) % (2 * (m + 1))
+        self.P = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * kl / (m + 1))
         d = 4.0 - 2.0 * np.cos(np.pi * k / (m + 1))
         # K_x is -1 off its diagonal, save up[0] = -2 under the mirrored wall
         # (the wall column meets its mirrored neighbour twice).  Elimination
@@ -785,9 +792,15 @@ class _StripSolver:
     eigenvalues λ_k) diagonalise it, and each mode's tridiagonal T_y + λ_k is
     eliminated from the box top down with pivots
     s_r = 1 / (2 + λ_k − t_{r+1}); the top ratio t is 2/(2 + λ_k) under a
-    mirrored top and 1/(2 + λ_k) under an absorbing one.  The strip's top
-    row T sees the box as −N, where N = Q diag(s_0) Q⁻¹ is the box's solve
-    of unit bottom-row data.
+    mirrored top and 1/(2 + λ_k) under an absorbing one.  Q and Q⁻¹ are
+    never formed: they are type-1 trigonometric transforms along the last
+    axis of (rows, m, nx) arrays, O(nx log nx) per row.  With M = nx − 1,
+    e = (½, 1, …, 1, ½) and d = 1/e, Q x = ½ DCT-I(d ⊙ x) and
+    Q⁻¹ v = (1/M) e ⊙ DCT-I(v) between mirrored sides, and Q x = ½ DST-I(x)
+    and Q⁻¹ = DST-I / (nx + 1) between absorbing ones.  The strip's top row
+    T sees the box as −N, where N = Q diag(s_0) Q⁻¹ is the box's solve of
+    unit bottom-row data: a Toeplitz ± Hankel matrix in the cosine
+    coefficients of s_0, which one DCT-I gives (``box_coupling``).
 
     Below T, the flat ends of the graph leave two rectangles, the wings W
     (``_Wing``), solved in closed form.  Where the graph rises, the wings
@@ -868,7 +881,7 @@ class _StripSolver:
         self.lu = splu(A_CC.tocsc(), permc_spec="MMD_AT_PLUS_A")
         if self.rows:
             self._modes(nx, mode)
-            S -= (self.Q * self.s[:, 0]) @ self.Qinv
+            S -= self.box_coupling()
         for lo in range(0, nx, _SOLVE_CHUNK):
             hi = min(lo + _SOLVE_CHUNK, nx)
             S[:, lo:hi] -= self._TC @ self.lu.solve(self._CT[:, lo:hi].toarray())
@@ -876,45 +889,73 @@ class _StripSolver:
 
     def _modes(self, nx, mode):
         k = np.arange(nx)
-        if mode == "reflect":
+        self._mirrored = mode == "reflect"
+        if self._mirrored:
             M = nx - 1
-            self.Q = np.cos(np.pi * np.outer(k, k) / M)
-            ends = np.where((k == 0) | (k == M), 0.5, 1.0)
-            self.Qinv = (2.0 / M) * ends[:, None] * self.Q * ends
+            e = np.where((k == 0) | (k == M), 0.5, 1.0)
+            self._trig = partial(sfft.dct, type=1)
+            self._q, self._p = 0.5 / e, e / M
             lam = 2.0 - 2.0 * np.cos(np.pi * k / M)
             self.mirror = 2.0
         else:
-            self.Q = np.sin(np.pi * np.outer(k + 1, k + 1) / (nx + 1))
-            self.Qinv = (2.0 / (nx + 1)) * self.Q
+            self._trig = partial(sfft.dst, type=1)
+            self._q, self._p = 0.5, 1.0 / (nx + 1)
+            # Q⁻¹'s first and last columns, for ``slot_modes``
+            w = (2.0 / (nx + 1)) * np.sin(np.pi * (k + 1) / (nx + 1))
+            self._walls = w, w * (-1.0) ** k
             lam = 2.0 - 2.0 * np.cos(np.pi * (k + 1) / (nx + 1))
             self.mirror = 1.0
         d = 2.0 + lam
-        s = np.empty((nx, self.rows))  # s[:, r] = [(T_y + λ)⁻¹ on rows r..top]₀₀
-        s[:, -1] = 1.0 / d
-        t = self.mirror * s[:, -1]
+        s = np.empty((self.rows, nx))  # s[r] = [(T_y + λ)⁻¹ on rows r..top]₀₀
+        s[-1] = 1.0 / d
+        t = self.mirror * s[-1]
         for r in range(self.rows - 2, -1, -1):
-            s[:, r] = t = 1.0 / (d - t)
+            s[r] = t = 1.0 / (d - t)
         self.s = s
         # The modal propagation of the strip's top row v into the box,
         # x_0 = s_0 v and x_r = s_r x_{r-1}, with the mirror factor on the
-        # top row.
-        self.lift = np.cumprod(s, axis=1)
-        self.lift[:, -1] *= self.mirror
+        # top row, and the constants of Q and Q⁻¹ folded in.
+        self.lift = np.cumprod(s, axis=0) * (self._q * self._p)
+        self.lift[-1] *= self.mirror
+
+    def _modal(self, u):
+        """Q⁻¹ along the last axis of nodal values u."""
+        return self._p * self._trig(u)
+
+    def _nodal(self, x):
+        """Q along the last axis of modes x."""
+        return self._trig(self._q * x)
+
+    def box_coupling(self):
+        """N = Q diag(s_0) Q⁻¹, the box's bottom row under unit bottom-row
+        data, from one transform of s_0: Toeplitz ± Hankel in the modes'
+        cosine coefficients, each extended evenly over its period."""
+        nx = self.s.shape[1]
+        if self._mirrored:
+            c = sfft.dct(self.s[0], type=1) / (2 * (nx - 1))
+            full = np.concatenate([c, c[-2::-1]])  # c_0 .. c_2M
+            return (sla.toeplitz(c) + sla.hankel(c, full[nx - 1:])) * (self._p * (nx - 1))
+        a = sfft.dct(np.concatenate([[0.0], self.s[0], [0.0]]), type=1) / (2 * (nx + 1))
+        full = np.concatenate([a, a[-2::-1]])  # a_0 .. a_2L
+        return sla.toeplitz(a[:nx]) - sla.hankel(full[2:nx + 2], full[nx + 1:2 * nx + 1])
 
     def local(self, i, j):
         """Strip index of grid node (column i, row j <= jt); vectorized."""
         return self._base[i] + j
 
     def box_modes(self, fb):
-        """Modes (nx, rows, m) of the box part fb (box nodes, m) of a
+        """Modes (rows, m, nx) of the box part fb (box nodes, m) of a
         right-hand side, eliminated from the box top down; None when fb is
-        zero."""
+        zero.  Only the rows that hold data are transformed (a point source
+        fills one)."""
         if not fb.any():
             return None
-        nx = len(self.s)
-        g = (self.Qinv @ fb.reshape(nx, -1)).reshape(nx, self.rows, -1)
-        for r in range(self.rows - 2, -1, -1):
-            g[:, r] += self.s[:, r + 1, None] * g[:, r + 1]
+        fb = fb.reshape(self.s.shape[1], self.rows, -1).transpose(1, 2, 0)
+        nz = np.flatnonzero(fb.any(axis=(1, 2)))
+        g = np.zeros(fb.shape)
+        g[nz] = self._modal(fb[nz])
+        for r in range(nz[-1] - 1, -1, -1):
+            g[r] += self.s[r + 1] * g[r + 1]
         return g
 
     def slot_modes(self, d, rows):
@@ -926,25 +967,22 @@ class _StripSolver:
             return None
         ny, top = self._ny, self.rows - 1
         left, right = d[ny - self.rows:ny], d[2 * ny - self.rows:2 * ny]
-        g = self.Qinv @ d[2 * ny:]
-        out = np.empty((len(g), rows, g.shape[1]))
+        g = self._modal(d[2 * ny:].T)
+        out = np.empty((rows,) + g.shape)
+        w0, w1 = self._walls
         for r in range(top, -1, -1):
             if r < top:
-                g *= self.s[:, r + 1, None]
-            g += self.Qinv[:, :1] * left[r] + self.Qinv[:, -1:] * right[r]
+                g *= self.s[r + 1]
+            g += left[r, :, None] * w0 + right[r, :, None] * w1
             if r < rows:
-                out[:, r] = g
+                out[r] = g
         return out
-
-    def _nodal(self, x):
-        """Nodal values of box modes x (nx, rows', m), in box order."""
-        return (self.Q @ x.reshape(len(x), -1)).reshape(-1, x.shape[-1])
 
     def solve_strip(self, fs, modes=None):
         """Strip values (strip nodes, m) for the strip part fs of a
         right-hand side and the ``box_modes`` of its box part."""
         if modes is not None:
-            fs[self.top] += self._nodal((self.s[:, 0, None] * modes[:, 0])[:, None])
+            fs[self.top] += self._nodal(self.s[0] * modes[0]).T
         fc, ft = fs[self.core], fs[self.top]
         if self.wings:
             g = [w.modes(fs) for w in self.wings]
@@ -965,20 +1003,25 @@ class _StripSolver:
                 lo = hi
         return x
 
-    def box_values(self, modes, v, rows=None):
-        """Box values (box nodes, m) for the ``box_modes`` of a right-hand
-        side (None: zero) and strip top-row values v (nx, m).  Given
-        ``rows``, only the bottom rows are built, in the same column-major
-        order."""
+    def box_block(self, modes, v, rows=None):
+        """Box values (rows, m, nx) for the ``box_modes`` of a right-hand
+        side (None: zero) and strip top-row values v (nx, m), the bottom
+        ``rows`` rows only when given: Q (lift ⊙ Q⁻¹ vᵀ + the modes'
+        upward substitution), both transforms on the contiguous last axis."""
         rows = self.rows if rows is None else rows
-        x = self.lift[:, :rows, None] * (self.Qinv @ v)[:, None]
+        x = self.lift[:rows, None] * self._trig(v.T)
         if modes is not None:
             y = 0.0  # substitute upwards
             for r in range(rows):
                 c = self.mirror if r == self.rows - 1 else 1.0
-                y = self.s[:, r, None] * (modes[:, r] + c * y)
-                x[:, r] += y
-        return self._nodal(x)
+                y = self.s[r] * (modes[r] + c * y)
+                x[r] += self._q * y
+        return self._trig(x, overwrite_x=True)
+
+    def box_values(self, modes, v, rows=None):
+        """``box_block`` in box order (box nodes, m): column-major."""
+        x = self.box_block(modes, v, rows)
+        return x.transpose(2, 0, 1).reshape(-1, x.shape[1])
 
     def solve(self, f):
         """x (n,) with A x = f."""

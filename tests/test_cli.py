@@ -219,6 +219,24 @@ def test_empty_balls_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("ball", [
+    {"radius": 0.5},                          # a KeyError traceback, exit 1
+    {"center": [0.0, 0.0]},
+    {"center": [0.0, 0.0], "radius": "big"},  # a ValueError, exit 1
+    {"center": [0.0], "radius": 0.5},         # broadcast to the origin, exit 0
+    {"center": [0.0, "x"], "radius": 0.5},
+    {"center": [0.0, 0.0], "radius": -0.5},
+    {"center": [0.0, 0.0], "radius": 0.5, "weight": 2.0},
+    [0.0, 0.0, 0.5],
+])
+def test_bad_ball_exits_2(tmp_path, capsys, ball):
+    p = _write_cfg(tmp_path, balls=[CFG["balls"][0], ball])
+    argv = ["--config", p, "--out", str(tmp_path / "o"), "--grid-h", "0.1", "probe"]
+    assert main(argv) == 2
+    assert "balls[1]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("u_arc", [1.0, -1.0]),          # u = 0: verify field passed
     ("z1", "ab"),                    # verify variation ended in a TypeError

@@ -693,6 +693,43 @@ def test_box_elimination_is_the_box_inverse(far_field):
     assert np.abs(N - box_solve(E)[bottom]).max() <= 1e-14
 
 
+def _range_reduced_modes(nx, mode):
+    """Dense Q and Q⁻¹ of the box's side operator in extended precision,
+    each argument reduced to one period before it is scaled by π: in double
+    precision the products with them are themselves about 1e-14 off at
+    nx = 481."""
+    k = np.arange(nx)
+    pi = np.arccos(np.longdouble(-1.0))
+    if mode == "reflect":
+        M = nx - 1
+        Q = np.cos(pi * (np.outer(k, k) % (2 * M)) / M)
+        e = np.where((k == 0) | (k == M), 0.5, 1.0)
+        return Q, (2.0 / M) * e[:, None] * Q * e
+    L = nx + 1
+    Q = np.sin(pi * (np.outer(k + 1, k + 1) % (2 * L)) / L)
+    return Q, (2.0 / L) * Q
+
+
+@pytest.mark.parametrize("mode", ["reflect", "absorb"])
+@pytest.mark.parametrize("halfwidth, h, nx", [(2.25, 0.5, 10), (6.0, 0.025, 481)])
+def test_box_transforms_match_range_reduced_bases(halfwidth, h, nx, mode):
+    # the box's modes by DCT-I / DST-I, and N = Q diag(s_0) Q⁻¹ from one
+    # transform, against dense bases with range-reduced arguments: unreduced,
+    # cos(π k l / M) is up to 2.7e-13 off at nx = 481
+    domain = build_domain(_flat_cfg(box_halfwidth=halfwidth, box_height=1.5,
+                                    grid_spacing=h))
+    assert domain.nx == nx
+    c = domain._strip_solver(mode)
+    Q, Qinv = _range_reduced_modes(nx, mode)
+    lift = np.cumprod(c.s, axis=0)
+    lift[-1] *= c.mirror
+    v = np.random.default_rng(6).random((nx, 3))
+    ref = (Q @ (lift.T[:, :, None] * (Qinv @ v)[:, None]).reshape(nx, -1)).reshape(-1, 3)
+    assert np.abs(c.box_values(None, v) - ref).max() <= 2e-15 * np.abs(ref).max()
+    N = (Q * c.s[0]) @ Qinv
+    assert np.abs(c.box_coupling() - N).max() <= 2e-15 * np.abs(N).max()
+
+
 @pytest.mark.parametrize("mode", ["reflect", "absorb"])
 @pytest.mark.parametrize("name", ["flat_small", "saw_small", "saw_steep", *_STRIP_GRIDS])
 def test_closure_symmetrizer(name, mode, request):
