@@ -78,13 +78,13 @@ class RunConfig:
             dom = DomainConfig.from_dict(raw["domain"])
         except KeyError as e:
             raise ConfigError(f"config missing required key: {e}")
-        if grid_h is not None:
-            dom = replace(dom, grid_spacing=grid_h)
+        if grid_h is not None:  # checked as the config's grid_spacing is
+            dom = DomainConfig.from_dict(dict(dom.to_dict(), grid_spacing=grid_h))
         if seed is not None:
             dom = replace(dom, wos_seed=seed)
-        eps = float(raw.get("epsilon", 0.05))
-        if not (0.0 <= eps <= 0.5):
-            raise ConfigError("epsilon must lie in [0, 0.5]")
+        eps = raw.get("epsilon", 0.05)
+        if not (_is_number(eps) and 0.0 <= eps <= 0.5):
+            raise ConfigError(f"epsilon must be a number in [0, 0.5], not {eps!r}")
         # verify and sweep-epsilon read one segment; a second would be ignored
         try:
             (seg,) = [Segment(float(m), float(M)) for m, M in raw.get("segments", [(0.2, 0.4)])]
@@ -106,7 +106,7 @@ class RunConfig:
                          lambda v: len(v) == 2 and v[0] < v[1] and v[1] > -edge and v[0] < edge)
         return cls(
             domain=dom,
-            epsilon=eps,
+            epsilon=float(eps),
             u_arc=u_arc,
             segments=((seg.m, seg.M),),
             balls=balls,

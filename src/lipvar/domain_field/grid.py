@@ -90,11 +90,14 @@ class DomainConfig:
             tuple(pair("phi_breakpoints", p) for p in breakpoints),
             number("support_radius", d.get("support_radius", 1.0)),
         )
+        h = number("grid_spacing", d["grid_spacing"])
+        if h <= 0:
+            raise ConfigError(f"domain grid_spacing must be positive, not {h!r}")
         return cls(
             graph=graph,
             box_halfwidth=number("box_halfwidth", d["box_halfwidth"]),
             box_height=number("box_height", d["box_height"]),
-            grid_spacing=number("grid_spacing", d["grid_spacing"]),
+            grid_spacing=h,
             pole=pair("pole", d.get("pole", (0.0, 1.0))),
             wos_seed=number("wos_seed", d.get("wos_seed", 0), int),
             far_field=str(d.get("far_field", "zero")),
@@ -125,14 +128,14 @@ class DiscreteDomain:
         self._validate()
         W, H, h = config.box_halfwidth, config.box_height, self.h
 
-        self.nx = int(round(2 * W / h)) + 1
+        self.nx = self._nodes(2 * W)
         self.xs = -W + h * np.arange(self.nx)
         phi = self.graph(self.xs) + config.graph_offset
         jb_h = np.round(phi / h).astype(int)  # graph rows in units of h
         if np.max(np.abs(jb_h * h - phi)) > 1e-9:
             warnings.warn("graph ordinates snapped to the grid by more than 1e-9")
         self.j0 = int(min(0, jb_h.min()))     # bottom grid row (units of h)
-        self.ny = int(round(H / h)) - self.j0 + 1
+        self.ny = self._nodes(H) - self.j0
         self.jb = jb_h - self.j0              # boundary row index per column
         if np.any(self.jb >= self.ny - 1):
             raise ConfigError("graph reaches the top of the box")
@@ -196,8 +199,8 @@ class DiscreteDomain:
     def _validate(self):
         cfg = self.config
         W, H, h = cfg.box_halfwidth, cfg.box_height, self.h
-        if h <= 0:
-            raise ConfigError("grid_spacing must be positive")
+        if not h > 0:
+            raise ConfigError(f"grid_spacing must be positive, not {h}")
         if W < self.graph.support_radius + 2.0 - 1e-12:
             raise ConfigError(
                 "box too small: halfwidth must exceed the profile support by >= 2"
@@ -220,6 +223,15 @@ class DiscreteDomain:
             raise ConfigError("halfplane far field requires the flat profile")
         if cfg.far_field not in ("zero", "halfplane"):
             raise ConfigError(f"unknown far_field {cfg.far_field!r}")
+
+    def _nodes(self, length):
+        """Grid nodes on a span of the given length, ends included; a count
+        past numpy's index type (a tiny ``grid_spacing``) is a ConfigError."""
+        steps = length / self.h
+        if not steps < np.iinfo(np.intp).max:
+            raise ConfigError(f"grid_spacing {self.h} gives more grid nodes "
+                              "than numpy can index")
+        return int(round(steps)) + 1
 
     def _arc_weights(self):
         """Arc-length cell weights along the true graph polyline."""
@@ -385,7 +397,7 @@ class DiscreteDomain:
             if oracle is not None:
                 rhs += X @ oracle[:, lo:hi]
                 # the box's bottom row also feeds the strip's top row
-                modes = c.slot_modes(oracle[:, lo:hi], max(rows, 1))
+                modes = c.box_modes(c.X[c.box] @ oracle[:, lo:hi])
             sol, box = c.solve_strip(rhs, modes), None
             if rows:
                 box = c.box_block(modes, sol[c.top], rows=rows)
@@ -558,26 +570,23 @@ class DiscreteDomain:
         """Eigendecomposition ``(vals, V, Vinv)`` of the one-step operator G,
         or ``"schur"`` when powers take the log path instead.
 
-        Powers through V carry a relative error of about kappa_2(V) times
-        the unit roundoff, so the eigen path is taken only for a
-        well-conditioned eigenbasis (flat grids: kappa ~ 1.4; rough
-        Lipschitz profiles reach 1e7 and more).  The condition number, unlike
-        the reconstruction error of such a basis, does not depend on the BLAS
-        thread count.  The log path's sentinel is ``"schur"``, the value that
-        ``bench/workloads.py`` and the tests read.
+        The eigen path needs a real spectrum in [0, inf), where every
+        fractional power is real, and, since powers through V carry a
+        relative error of about kappa_2(V) times the unit roundoff, a
+        well-conditioned eigenbasis (flat grids: kappa ~ 1.4; rough Lipschitz
+        profiles reach 1e7 and more).  Every other G takes the log path.  The
+        condition number, unlike the reconstruction error of such a basis,
+        does not depend on the BLAS thread count.  The log path's sentinel is
+        ``"schur"``, the value that ``bench/workloads.py`` and the tests read.
         """
         if self._eig is None:
-            G = self.kernel_table()[1]
-            vals, V = sla.eig(G)
-            if np.linalg.cond(V) > EIG_COND_MAX:
+            vals, V = sla.eig(self.kernel_table()[1])
+            real = not np.any(vals.imag)  # then V is real too
+            vals = np.where(np.abs(vals) < 1e-14, 0.0, vals.real)
+            if not real or np.any(vals < 0) or np.linalg.cond(V) > EIG_COND_MAX:
                 self._eig = "schur"
             else:
-                vals = np.where(np.abs(vals) < 1e-14, 0.0, vals)
-                eig = (vals, V, sla.inv(V))
-                if not any(np.any(a.imag) for a in eig) and np.all(vals.real >= 0):
-                    # real spectrum in [0, inf): every fractional power is real
-                    eig = tuple(a.real for a in eig)
-                self._eig = eig
+                self._eig = (vals, V, sla.inv(V))
         return self._eig
 
     def _log_generator(self):
@@ -609,8 +618,6 @@ class DiscreteDomain:
             return self._powers[key]
         # from the key: a cached row is the same whichever y filled it
         out = np.eye(self.nx) if key == 0.0 else self.row_power(None, key / self.h)
-        if len(self._powers) > 160:
-            self._powers.clear()
         self._powers[key] = out
         return out
 
@@ -628,7 +635,7 @@ class DiscreteDomain:
         if eig != "schur":
             vals, V, Vinv = eig
             left = V if v is None else v @ V
-            return ((left * vals ** s) @ Vinv).real
+            return (left * vals ** s) @ Vinv
         n = int(np.floor(s + 1e-9))
         f = round(s - n, 12)
         if v is None:
@@ -676,15 +683,6 @@ class DiscreteDomain:
     def cell_nodes(self, k):
         """Heights of the four Gauss-Legendre nodes of height cell k."""
         return (k + (1 + _GAUSS_T) / 2) * self.h / 2
-
-    def cell_powers(self, k):
-        """G^(y/h) at the four nodes of height cell k, stacked (4, nx, nx).
-
-        ``row_power`` at each node, outside the ``power_rows`` cache.  On the
-        log path the nodes of every cell sit one of eight fractions of a step
-        above an integer power, so they share eight fraction-table entries.
-        """
-        return np.stack([self.row_power(None, y / self.h) for y in self.cell_nodes(k)])
 
 
 class _Wing:
@@ -836,7 +834,6 @@ class _StripSolver:
     def __init__(self, domain, mode):
         nx, ny, jb, jt = domain.nx, domain.ny, domain.jb, domain.strip_top
         self.rows = ny - 1 - jt
-        self._ny = ny
         # each column keeps its first jt - jb nodes in the strip
         self._base = domain.offsets[:-1] - jb - 1 - self.rows * np.arange(nx)
         i = np.repeat(np.arange(nx), ny - 1 - jb)
@@ -900,9 +897,6 @@ class _StripSolver:
         else:
             self._trig = partial(sfft.dst, type=1)
             self._q, self._p = 0.5, 1.0 / (nx + 1)
-            # Q⁻¹'s first and last columns, for ``slot_modes``
-            w = (2.0 / (nx + 1)) * np.sin(np.pi * (k + 1) / (nx + 1))
-            self._walls = w, w * (-1.0) ** k
             lam = 2.0 - 2.0 * np.cos(np.pi * (k + 1) / (nx + 1))
             self.mirror = 1.0
         d = 2.0 + lam
@@ -957,26 +951,6 @@ class _StripSolver:
         for r in range(nz[-1] - 1, -1, -1):
             g[r] += self.s[r + 1] * g[r + 1]
         return g
-
-    def slot_modes(self, d, rows):
-        """The bottom ``rows`` rows of the ``box_modes`` of X d, for
-        ghost-slot data d (2 ny + nx, m) of an absorbing closure.  In the box
-        X reaches only the side columns and the top row, so the elimination
-        reads those slices of d alone.  None when there is no box."""
-        if not self.rows:
-            return None
-        ny, top = self._ny, self.rows - 1
-        left, right = d[ny - self.rows:ny], d[2 * ny - self.rows:2 * ny]
-        g = self._modal(d[2 * ny:].T)
-        out = np.empty((rows,) + g.shape)
-        w0, w1 = self._walls
-        for r in range(top, -1, -1):
-            if r < top:
-                g *= self.s[r + 1]
-            g += left[r, :, None] * w0 + right[r, :, None] * w1
-            if r < rows:
-                out[r] = g
-        return out
 
     def solve_strip(self, fs, modes=None):
         """Strip values (strip nodes, m) for the strip part fs of a
@@ -1137,17 +1111,12 @@ class HarmonicField:
 
 @dataclass
 class BoundaryMeasure:
-    """Nonnegative masses on the boundary mesh, with tracked box leakage.
-
-    ``density`` is gamma, the density of the masses against the pole measure,
-    where a construction has it (the transformed measures).
-    """
+    """Nonnegative masses on the boundary mesh, with tracked box leakage."""
 
     domain: DiscreteDomain
     s_masses: np.ndarray
     box_side_mass: float = 0.0
     box_top_mass: float = 0.0
-    density: np.ndarray | None = None
 
     @property
     def s_total(self) -> float:

@@ -53,9 +53,6 @@ class Segment:
     def length(self) -> float:
         return self.M - self.m
 
-    def contains(self, other: "Segment") -> bool:
-        return self.m <= other.m + 1e-12 and other.M <= self.M + 1e-12
-
     def split(self, at: float):
         return Segment(self.m, at), Segment(at, self.M)
 
@@ -78,17 +75,6 @@ class Partition:
     @property
     def parent(self) -> Segment:
         return Segment(self.segments[0].m, self.segments[-1].M)
-
-    @property
-    def mesh(self) -> float:
-        return max(s.length for s in self.segments)
-
-    @property
-    def is_regular(self) -> bool:
-        return self.mesh <= 2 * self.parent.length / len(self.segments) + 1e-12
-
-    def refines(self, coarser: "Partition") -> bool:
-        return all(any(c.contains(s) for c in coarser.segments) for s in self.segments)
 
 
 def dyadic_partition(seg: Segment, n: int) -> Partition:

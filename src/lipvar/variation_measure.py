@@ -79,19 +79,6 @@ def vertical_variation(domain: DiscreteDomain, u: HarmonicField,
 # ---------------------------------------------------------------------------
 
 
-def transform_measure(domain: DiscreteDomain, u: HarmonicField,
-                      kappa: BoundaryMeasure, y: float, eps: float) -> BoundaryMeasure:
-    """Adjoint image of kappa under Omega_[y,1]: the measure gamma_y d w.
-
-    The returned measure carries the density against the pole measure in
-    ``density``; total mass is preserved up to the sweep's accuracy.
-    """
-    if abs(kappa.total - 1.0) > 1e-6:
-        raise ConfigError("kappa must be a probability measure")
-    (gamma,), _ = adjoint_sweep(domain, u, eps, kappa.s_masses, [y])
-    return BoundaryMeasure(domain, gamma * domain.hm_weights, density=gamma)
-
-
 @dataclass
 class NuDiagnostics:
     """Weak-convergence trace of the transformed measures along a y-sequence.
@@ -158,7 +145,7 @@ def nu_limit(domain: DiscreteDomain, u: HarmonicField, kappa: BoundaryMeasure,
             slope = float(np.median(slopes))
 
     y_star = ys[-1]
-    nu = BoundaryMeasure(domain, gammas[y_star] * w, density=gammas[y_star])
+    nu = BoundaryMeasure(domain, gammas[y_star] * w)
     diag = NuDiagnostics(
         y_sequence=list(ys),
         total_masses=[float((gammas[y] * w).sum()) for y in ys],

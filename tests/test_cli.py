@@ -243,12 +243,23 @@ def test_bad_ball_exits_2(tmp_path, capsys, ball):
     ("wos_samples", 0),              # verify field failed with margin inf
     ("y_sequence", [2.0]),           # three margins of inf
     ("u_arc", [6.0, 7.0]),           # off the mesh: u = 0, verify field passed
+    ("epsilon", "abc"),              # a ValueError
+    ("epsilon", None),               # a TypeError
+    ("epsilon", "0.05"),             # accepted as a number
 ])
 def test_bad_run_value_exits_2(tmp_path, capsys, key, value):
     p = _write_cfg(tmp_path, **{key: value})
     assert main(["--config", p, "--out", str(tmp_path / "o"), "verify", "all"]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("h", ["nan", "inf", "-0.1", "0", "1e-300"])
+def test_bad_grid_h_exits_2(cfg_path, tmp_path, capsys, h):
+    # nan was blamed on u_arc, 1e-300 ended in a ValueError
+    argv = ["--config", cfg_path, "--out", str(tmp_path / "o"), f"--grid-h={h}", "probe"]
+    assert main(argv) == 2
+    assert "grid_spacing" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [

@@ -16,6 +16,7 @@ from lipvar.domain_field import (
     build_domain,
     halfplane,
     harmonic_extension,
+    kernel_measure,
 )
 from lipvar.errors import ConfigError, ConvergenceError, ResolutionError
 from lipvar.omega import Segment
@@ -24,16 +25,21 @@ from lipvar.omega import Segment
 # -- martin kernel -----------------------------------------------------------
 
 
+def _martin_kernel(domain, x):
+    """k(x, .): the density of the exit measure from x against w."""
+    return K._mass_to_kernel(domain, kernel_measure(domain, x).s_masses)
+
+
 def test_martin_kernel_at_pole_is_one(flat_small):
     domain, _ = flat_small
-    row = K.martin_kernel(domain, (0.0, 1.0))
+    row = _martin_kernel(domain, (0.0, 1.0))
     assert np.abs(row - 1.0).max() < 1e-12
 
 
 def test_martin_kernel_spot_oracle(oracle_flat):
     domain, _ = oracle_flat
     i0 = domain.nx // 2
-    val = K.martin_kernel(domain, (0.0, 2.0), node=i0)
+    val = _martin_kernel(domain, (0.0, 2.0))[i0]
     target = halfplane.martin_ratio((0.0, 2.0), (0.0, 1.0), 0.0)
     assert target == pytest.approx(0.5)
     assert abs(val - target) < 1e-2
@@ -46,14 +52,14 @@ def test_martin_kernel_row_integrals(flat_small):
     for _ in range(20):
         i = rng.integers(0, domain.nx)
         m = rng.integers(1, domain.band_rows + 1)
-        row = K.martin_kernel(domain, (domain.xs[i], domain.s_y[i] + m * domain.h))
+        row = _martin_kernel(domain, (domain.xs[i], domain.s_y[i] + m * domain.h))
         assert abs(row @ w - 1.0) < 1e-3
 
 
 def test_martin_kernel_rejects_exterior(flat_small):
     domain, _ = flat_small
     with pytest.raises(ConfigError):
-        K.martin_kernel(domain, (0.0, -1.0))
+        kernel_measure(domain, (0.0, -1.0))
 
 
 # -- build_k -------------------------------------------------------------------
@@ -348,9 +354,10 @@ def test_cell_powers_bypass_power_rows(grid, lattice_seg, request, monkeypatch):
         assert eig == "schur"
     half = domain.h / 2
     for k in range(int(round(lattice_seg[0] / half)), int(round(lattice_seg[1] / half))):
-        powers = domain.cell_powers(k)
-        for y, p in zip(domain.cell_nodes(k), powers):
-            assert _rel_sup(p, domain.power_rows(y)) <= 1e-12
+        ys = domain.cell_nodes(k)
+        ref = K.b_masses(domain, np.stack([domain.power_rows(y) for y in ys]),
+                         np.stack([K.c_masses(domain, u, y) for y in ys]))
+        assert _rel_sup(K.cell_kernels(domain, u, k, "power"), ref) <= 1e-12
 
     def no_power_rows(self, y):
         raise AssertionError(f"power_rows({y}) called")
@@ -360,6 +367,23 @@ def test_cell_powers_bypass_power_rows(grid, lattice_seg, request, monkeypatch):
 
 
 # -- log path of the fractional powers -------------------------------------------
+
+
+def test_complex_spectrum_takes_the_log_path():
+    # G = Q D Q^T with a rotation block in D: a normal G, so kappa_2(V) = 1,
+    # whose spectrum leaves the real line; its powers take the log path
+    domain = build_domain(DomainConfig(LipschitzGraph.flat(), box_halfwidth=2.0,
+                                       box_height=2.0, grid_spacing=0.5))
+    nx = domain.nx
+    Q = np.linalg.qr(np.random.default_rng(5).standard_normal((nx, nx)))[0]
+    D = np.diag(np.linspace(0.3, 0.9, nx))
+    c, s = np.cos(0.7), np.sin(0.7)
+    D[:2, :2] = 0.6 * np.array([[c, -s], [s, c]])
+    G = domain.kernel_table()[1] = Q @ D @ Q.T
+    assert domain._eigensystem() == "schur"
+    for p in (0.5, 1.25, 3.0):
+        ref = np.real(sla.fractional_matrix_power(G, p))
+        assert np.abs(domain.row_power(None, p) - ref).max() <= 1e-12
 
 
 def test_log_path_powers_match_schur_pade(saw_tall):

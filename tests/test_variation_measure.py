@@ -9,6 +9,7 @@ from lipvar.domain_field import (
     kernel_measure,
 )
 from lipvar.errors import ConfigError
+from lipvar.omega import adjoint_sweep
 from lipvar.variation_measure import (
     N_ALPHA,
     SIGMA_HEIGHT,
@@ -16,7 +17,6 @@ from lipvar.variation_measure import (
     bump_extensions,
     nu_limit,
     probe_ball,
-    transform_measure,
     variation_ratio,
     vertical_variation,
 )
@@ -90,41 +90,35 @@ def test_variation_reports_tail(flat_small):
     assert np.isfinite(V.tail_estimate).all()
 
 
-# -- transform_measure ----------------------------------------------------------
+# -- measure transforms: gamma_y of kappa by one adjoint sweep -------------------
+
+
+def _gamma(domain, u, masses, y, eps):
+    """gamma_y, the density against w of kappa's image under Omega_[y,1]."""
+    (gamma,), _ = adjoint_sweep(domain, u, eps, masses, [y])
+    return gamma
 
 
 def test_transform_point_mass_eps_zero(flat_small):
     # eps = 0: the transformed density of a point mass is a pure kernel row
     domain, u = flat_small
-    from lipvar.domain_field.grid import BoundaryMeasure
-
     j = domain.nx // 2 + 3
     masses = np.zeros(domain.nx)
     masses[j] = 1.0
-    kappa = BoundaryMeasure(domain, masses)
     y = 0.25
-    out = transform_measure(domain, u, kappa, y, 0.0)
+    gamma = _gamma(domain, u, masses, y, 0.0)
     krow = K.mass_rows(domain, 1.0 - y, "power")[j] / np.where(
         domain.hm_weights > 0, domain.hm_weights, 1.0)
-    assert np.abs(out.density - krow).max() <= 1e-6 * max(krow.max(), 1.0)
+    assert np.abs(gamma - krow).max() <= 1e-6 * max(krow.max(), 1.0)
 
 
 def test_transform_mass_preserved(flat_small):
     domain, u = flat_small
     kappa = kernel_measure(domain, (0.0, 1.0))
     for y in (0.4, 0.2):
-        out = transform_measure(domain, u, kappa, y, EPS)
-        assert abs(out.total - 1.0) < 1e-2
-        assert out.s_masses.min() >= -1e-9
-
-
-def test_transform_requires_probability(flat_small):
-    domain, u = flat_small
-    from lipvar.domain_field.grid import BoundaryMeasure
-
-    bad = BoundaryMeasure(domain, np.ones(domain.nx))
-    with pytest.raises(ConfigError):
-        transform_measure(domain, u, bad, 0.25, EPS)
+        masses = _gamma(domain, u, kappa.s_masses, y, EPS) * domain.hm_weights
+        assert abs(masses.sum() - 1.0) < 1e-2
+        assert masses.min() >= -1e-9
 
 
 def test_transform_sandwich_with_rho_bounds(flat_small):
@@ -134,7 +128,7 @@ def test_transform_sandwich_with_rho_bounds(flat_small):
     kappa = kernel_measure(domain, (0.0, 1.0))
     y = 0.25
     rb = omega_rho_bounds(OmegaLadder(domain, u, EPS, [y]), y)
-    gamma = transform_measure(domain, u, kappa, y, EPS).density
+    gamma = _gamma(domain, u, kappa.s_masses, y, EPS)
     kimg = K.mass_rows(domain, 1.0 - y, "power").T @ kappa.s_masses / np.where(
         domain.hm_weights > 0, domain.hm_weights, 1.0)
     live = kimg > 1e-9 * kimg.max()
