@@ -25,7 +25,7 @@ _cap_threads()
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -64,13 +64,9 @@ class RunConfig:
     def load(cls, path: str, grid_h: float | None = None,
              seed: int | None = None) -> "RunConfig":
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = _json_object(Path(path))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(
-                f"malformed JSON in {path} at line {e.lineno} column {e.colno}: {e.msg}"
-            )
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
@@ -78,10 +74,11 @@ class RunConfig:
             dom = DomainConfig.from_dict(raw["domain"])
         except KeyError as e:
             raise ConfigError(f"config missing required key: {e}")
-        if grid_h is not None:  # checked as the config's grid_spacing is
-            dom = DomainConfig.from_dict(dict(dom.to_dict(), grid_spacing=grid_h))
-        if seed is not None:
-            dom = replace(dom, wos_seed=seed)
+        # the flags are checked as the config's grid_spacing and wos_seed are
+        flags = {k: v for k, v in (("grid_spacing", grid_h), ("wos_seed", seed))
+                 if v is not None}
+        if flags:
+            dom = DomainConfig.from_dict(dict(dom.to_dict(), **flags))
         eps = raw.get("epsilon", 0.05)
         if not (_is_number(eps) and 0.0 <= eps <= 0.5):
             raise ConfigError(f"epsilon must be a number in [0, 0.5], not {eps!r}")
@@ -117,6 +114,22 @@ class RunConfig:
                                 lambda v: v and all(0.0 < y <= 1.0 for y in v)),
             wos_samples=int(wos),
         )
+
+
+def _json_object(path: Path) -> dict:
+    """The JSON object held in ``path``; malformed JSON or another top-level
+    value is a ConfigError that names the file."""
+    try:
+        obj = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ConfigError(
+            f"malformed JSON in {path} at line {e.lineno} column {e.colno}: {e.msg}"
+        )
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path} is not UTF-8 text")
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path} must hold a JSON object, not {type(obj).__name__}")
+    return obj
 
 
 def _is_number(v) -> bool:
@@ -168,7 +181,7 @@ def cmd_solve(cfg: RunConfig, out: Path, use_cache: bool = True) -> int:
     cache, h = _cache_dir(out, cfg)
     manifest = cache / "manifest.json"
     if manifest.exists():
-        recorded = json.loads(manifest.read_text())
+        recorded = _json_object(manifest)
         if recorded.get("hash") != h:
             print(f"error: inconsistent cached hash in {manifest}", file=sys.stderr)
             return 2
@@ -297,10 +310,14 @@ def cmd_sweep_epsilon(cfg: RunConfig, out: Path) -> int:
 def cmd_report(out: Path) -> int:
     merged = {}
     rows = []
-    for p in sorted(out.glob("*.json")):
-        merged[p.stem] = json.loads(p.read_text())
-        for c in merged[p.stem].get("checks", []):
-            rows.append([p.stem, c["name"], c["margin"], int(c["passed"])])
+    # report.json is this command's own output, not a report to collate
+    for p in sorted(set(out.glob("*.json")) - {out / "report.json"}):
+        merged[p.stem] = _json_object(p)
+        try:
+            rows.extend([p.stem, c["name"], c["margin"], int(c["passed"])]
+                        for c in merged[p.stem].get("checks", []))
+        except (TypeError, KeyError, ValueError):
+            raise ConfigError(f"{p}: checks must be a list of check records")
     if not merged:
         print(f"no reports found in {out}", file=sys.stderr)
         return 2
@@ -337,12 +354,12 @@ def _parser():
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     out = Path(args.out)
-    if args.command == "report":
-        return cmd_report(out)
-    if not args.config:
+    if not (args.config or args.command == "report"):
         print("error: --config is required for this command", file=sys.stderr)
         return 2
     try:
+        if args.command == "report":
+            return cmd_report(out)
         cfg = RunConfig.load(args.config, grid_h=args.grid_h, seed=args.seed)
         if args.command == "solve":
             return cmd_solve(cfg, out, use_cache=not args.no_cache)

@@ -69,14 +69,21 @@ class DomainConfig:
         if unknown:
             raise ConfigError(f"unknown domain config key(s): {', '.join(unknown)}")
 
-        def number(key, value, kind=float):
+        def number(key, value):
             try:
-                x = kind(value)
+                x = float(value)
             except (TypeError, ValueError, OverflowError):
                 x = np.nan
             if not np.isfinite(x):
                 raise ConfigError(f"domain {key} must be a finite number, not {value!r}")
             return x
+
+        def count(key, value):
+            whole = (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                     or isinstance(value, float) and value.is_integer())
+            if not (whole and value >= 0):
+                raise ConfigError(f"domain {key} must be a non-negative integer, not {value!r}")
+            return int(value)
 
         def pair(key, value):
             if not (isinstance(value, (list, tuple)) and len(value) == 2):
@@ -99,7 +106,7 @@ class DomainConfig:
             box_height=number("box_height", d["box_height"]),
             grid_spacing=h,
             pole=pair("pole", d.get("pole", (0.0, 1.0))),
-            wos_seed=number("wos_seed", d.get("wos_seed", 0), int),
+            wos_seed=count("wos_seed", d.get("wos_seed", 0)),
             far_field=str(d.get("far_field", "zero")),
             graph_offset=number("graph_offset", d.get("graph_offset", 0.0)),
         )
@@ -440,12 +447,16 @@ class DiscreteDomain:
         return self._band_at(self.kernel_table(), y)
 
     def mass_matvec(self, y, f):
-        """``mass_rows(y) @ f`` as one matvec per band level, with no blended
-        (nx, nx) matrix."""
+        """``mass_rows(y) @ f`` as one product per band level, with no blended
+        (nx, nx) matrix.
+
+        y may also be an array of heights in one grid level, such as the
+        nodes of a height cell, with one column of f per height.
+        """
         band = self.kernel_table()
         m, frac = self._band_span(band, y)
         out = band[m] @ f
-        if frac:
+        if np.any(frac):
             out = (1 - frac) * out + frac * (band[m + 1] @ f)
         return out
 
@@ -482,14 +493,25 @@ class DiscreteDomain:
     def stencil_matvec(self, y, f):
         """``(dx @ f, dy @ f)`` for the ``stencil_rows(y)`` pair, matrix-free:
         one product of the stencil window's band levels with f, gathered at
-        the stencil's keys."""
+        the stencil's keys.  Heights in one grid level take one column of f
+        each, as in ``mass_matvec``, and share the window's product."""
         flat, w0, w1 = self._stencil_window(self.kernel_table(), y)
         return self._stencil_gather(flat @ f, w0, w1)
 
     # -- band readers: one height rule for the kernel band and field bands ------
 
     def _band_level(self, y):
-        """Grid level m below height y and the blend fraction (0 on a level)."""
+        """Grid level m below height y and the blend fraction (0 on a level).
+
+        For an array of heights in one level: that level and an array of
+        fractions; heights in different levels raise.
+        """
+        if np.ndim(y):
+            levels = [self._band_level(v) for v in y]
+            m = levels[0][0]
+            if any(lv != m for lv, _ in levels):
+                raise ResolutionError(f"heights {y} span more than one grid level")
+            return m, np.array([frac for _, frac in levels])
         t = y / self.h
         m = int(np.floor(t + 1e-12))
         frac = t - m
@@ -500,7 +522,7 @@ class DiscreteDomain:
         band raise."""
         m, frac = self._band_level(y)
         top = len(band) - 1
-        if m < 0 or m + (frac > 0) > top:
+        if m < 0 or m + np.any(frac) > top:
             raise ResolutionError(
                 f"height {y} outside the cached band (<= {top * self.h})"
             )
@@ -527,7 +549,7 @@ class DiscreteDomain:
         """
         m, frac = self._band_level(y)
         lo = m + self._stencil_reach[0]
-        hi = m + self._stencil_reach[1] + 1 + (frac > 0)
+        hi = m + self._stencil_reach[1] + 1 + np.any(frac)
         if lo < 0 or hi > len(band):
             raise ResolutionError(f"stencil at height {y} leaves the band")
         flat = band[lo:hi].reshape((hi - lo) * self.nx, *band.shape[2:])
@@ -545,7 +567,7 @@ class DiscreteDomain:
         dx, dy = level(self._stencil_keys)
         dx *= w0
         dy *= w0
-        if w1:
+        if np.any(w1):
             dx1, dy1 = level(self._stencil_keys + self.nx)
             dx1 *= w1
             dy1 *= w1

@@ -219,6 +219,20 @@ def apply_b(domain: DiscreteDomain, u: HarmonicField, y: float, f,
     return apply_k(domain, y, apply_c(domain, u, y, f), family)
 
 
+def cell_apply_b(domain: DiscreteDomain, u: HarmonicField, k: int, fs):
+    """B_y f_y at the four nodes of height cell k (``DiscreteDomain.cell_nodes``)
+    on the martin family, for a stack fs (4, nx) of one function per node;
+    stacked (4, nx).
+
+    The nodes share one grid level, so each band product of ``apply_b``
+    takes the four functions as the columns of one matrix.
+    """
+    ys = domain.cell_nodes(k)
+    sx, sy = np.stack([u.sigma_rows(2 * y)[:2] for y in ys], axis=2)
+    gx, gy = domain.stencil_matvec(ys, np.asarray(fs, dtype=float).T)
+    return domain.mass_matvec(ys, sx * gx + sy * gy).T
+
+
 # -- Harnack exponent -----------------------------------------------------------
 
 

@@ -22,7 +22,7 @@ import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from . import kernels as K
 from .domain_field.grid import DiscreteDomain, HarmonicField, harmonic_extension
@@ -418,15 +418,18 @@ def omega_rho_bounds(ladder: OmegaLadder, rho: float) -> dict:
     if eps == 0.0:
         c_plus, c_minus = rmax, rmin
     else:
-        # rho^(-c eps) >= 1 forces the root below rmax
-        c_plus = brentq(lambda c: c * rho ** (-c * eps) - rmax,
-                        min(1e-9, rmax / 2), rmax + 1.0)
+        # with a = -eps ln rho > 0 the conditions read c e^(a c) = rmax and
+        # c e^(-a c) = rmin: Lambert W's principal branch solves both.  The
+        # second's left side peaks at c = 1/a, where rmin above the peak
+        # 1/(a e) leaves no root and 1/a is the best constant
+        a = -eps * float(np.log(rho))
+        c_plus = float(lambertw(a * rmax).real) / a
         if rmin <= 0:
             c_minus = 0.0
+        elif -a * rmin <= -np.exp(-1.0):
+            c_minus = 1.0 / a
         else:
-            c_star = -1.0 / (eps * np.log(rho))
-            g = lambda c: c * rho ** (c * eps) - rmin
-            c_minus = c_star if g(c_star) < 0 else brentq(g, 1e-12, c_star)
+            c_minus = -float(lambertw(-a * rmin).real) / a
     return {"rho": rho, "eps": eps, "c_plus": c_plus, "c_minus": c_minus,
             "sup_ratio": rmax, "inf_ratio": rmin, "steps": ladder.steps}
 

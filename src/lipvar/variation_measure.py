@@ -50,7 +50,8 @@ def vertical_variation(domain: DiscreteDomain, u: HarmonicField,
 
     The integrand is smooth between its kinks at the multiples of h/2, so it
     takes the kink-cell rule of ``DiscreteDomain.height_rule`` (four
-    Gauss-Legendre nodes per cell).  The truncated lower tail [0, y_min] is
+    Gauss-Legendre nodes per cell, evaluated together by
+    ``kernels.cell_apply_b``).  The truncated lower tail [0, y_min] is
     estimated separately by linear extrapolation of the integrand and
     reported, never added.  ``n_evals`` counts integrand evaluations.
     """
@@ -65,7 +66,8 @@ def vertical_variation(domain: DiscreteDomain, u: HarmonicField,
         return K.apply_b(domain, u, y, u.rows(y))
 
     rule = domain.height_rule(y_min, y_max)
-    est = K.cell_sum(rule, lambda k: np.stack([f(y) for y in domain.cell_nodes(k)]))
+    est = K.cell_sum(rule, lambda k: K.cell_apply_b(
+        domain, u, k, [u.rows(y) for y in domain.cell_nodes(k)]))
 
     f0 = f(y_min)
     f2 = f(min(y_min + 2 * domain.h, y_max))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -161,6 +164,16 @@ def test_sweep_epsilon_reports_scaling(cfg_path, tmp_path, capsys):
     assert "0.05" in rep["measure_reports"]
 
 
+def test_report_again_collates_the_same_reports(cfg_path, tmp_path):
+    # a second report nested the first report.json under "report"
+    out = str(tmp_path / "r")
+    main(["--config", cfg_path, "--out", out, "verify", "field"])
+    assert main(["--out", out, "report"]) == 0
+    first = Path(out, "report.json").read_text()
+    assert main(["--out", out, "report"]) == 0
+    assert Path(out, "report.json").read_text() == first
+
+
 def test_report_empty_dir_exits_2(tmp_path):
     assert main(["--out", str(tmp_path / "empty"), "report"]) == 2
 
@@ -268,12 +281,46 @@ def test_bad_grid_h_exits_2(cfg_path, tmp_path, capsys, h):
     ("pole", [0.0]),
     ("band_height", -1.0),           # verify field passed, verify variation crashed
     ("phi_breakpoints", [[0.0]]),    # a ValueError
+    ("wos_seed", -3),                # numpy's ValueError
+    ("wos_seed", 2.5),               # truncated to 2
+    ("wos_seed", True),              # accepted as 1
 ])
 def test_bad_domain_value_exits_2(tmp_path, capsys, key, value):
     p = _write_cfg(tmp_path, domain=dict(CFG["domain"], **{key: value}))
     assert main(["--config", p, "--out", str(tmp_path / "o"), "verify", "field"]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_flag_exits_2(cfg_path, tmp_path, capsys):
+    # ended in numpy's ValueError, exit 1
+    argv = ["--config", cfg_path, "--out", str(tmp_path / "o"), "--seed", "-1", "verify", "field"]
+    assert main(argv) == 2
+    assert "wos_seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ['{"checks": [', '[1, 2]', '"text"', '{"checks": [1]}',
+                                  b'\xff{}'])
+def test_report_on_bad_json_exits_2(tmp_path, capsys, text):
+    # malformed JSON ended in a JSONDecodeError, a list in an AttributeError
+    out = tmp_path / "r"
+    out.mkdir()
+    (out / "verify_field.json").write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["--out", str(out), "report"]) == 2
+    assert "verify_field.json" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("text", ['{"hash": ', '["hash"]'])
+def test_solve_on_corrupt_manifest_exits_2(cfg_path, tmp_path, capsys, text):
+    out = tmp_path / "out"
+    assert main(["--config", cfg_path, "--out", str(out), "solve"]) == 0
+    manifest = next((out / "cache").iterdir()) / "manifest.json"
+    manifest.write_text(text)
+    capsys.readouterr()
+    assert main(["--config", cfg_path, "--out", str(out), "solve"]) == 2
+    assert str(manifest) in capsys.readouterr().err
 
 
 def test_failed_construction_is_a_failed_record(cfg_path, tmp_path, monkeypatch):
@@ -314,3 +361,12 @@ def test_verify_all_gives_one_record_per_check(cfg_path, tmp_path):
     # slope is not finite
     assert names == [n for n in declared if n != "weak_convergence_slope"]
     assert all({"name", "bound", "margin", "passed"} <= set(c) for c in records)
+
+
+def test_cli_import_loads_no_optimizer():
+    # scipy.optimize costs about 12 MB and 0.14 s of every process's start
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, lipvar.cli; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

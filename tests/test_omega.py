@@ -364,6 +364,52 @@ def test_omega_rho_rejects_large_rho(flat_small):
         omega_rho_bounds(OmegaLadder(domain, u, 0.0, [0.7]), 0.7)
 
 
+def _patched_ladder(domain, u, eps, monkeypatch, scale=1.0, entry=None):
+    """A ladder at 0.25 whose omega entries are multiplied by ``scale`` and,
+    unless ``entry`` is None, set to ``entry`` where the reference kernel
+    k_0.75 peaks."""
+    ladder = OmegaLadder(domain, u, eps, [0.25])
+    om = ladder.omega_y(0.25).entries * scale
+    if entry is not None:
+        kref = K.build_k(domain, 0.75, "power").entries
+        om[np.unravel_index(np.argmax(kref), kref.shape)] = entry
+    monkeypatch.setattr(ladder, "omega_y", lambda y: K.BoundaryKernel(domain, om))
+    return ladder
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.05, 0.2, 0.5])
+def test_omega_rho_constants_solve_their_conditions(flat_small, eps):
+    # the closed forms meet c rho^(-c eps) = sup and c rho^(c eps) = inf;
+    # c_minus is the root below the peak of c rho^(c eps) at c = 1/(-eps ln rho)
+    domain, u = flat_small
+    rb = omega_rho_bounds(OmegaLadder(domain, u, eps, [0.25]), 0.25)
+    cp, cm = rb["c_plus"], rb["c_minus"]
+    assert cp * 0.25 ** (-cp * eps) == pytest.approx(rb["sup_ratio"], rel=1e-12)
+    assert cm * 0.25 ** (cm * eps) == pytest.approx(rb["inf_ratio"], rel=1e-12)
+    assert cm < 1 / (-eps * np.log(0.25))
+
+
+def test_omega_rho_c_minus_capped_above_the_peak(flat_small, monkeypatch):
+    # c rho^(c eps) peaks at c = 1/(-eps ln rho), with value 1/(-eps e ln rho);
+    # an inf ratio above the peak has no root and takes the peak's c
+    domain, u = flat_small
+    eps = 0.5
+    rb = omega_rho_bounds(_patched_ladder(domain, u, eps, monkeypatch, scale=10.0), 0.25)
+    a = -eps * np.log(0.25)
+    assert rb["inf_ratio"] > 1 / (a * np.e)
+    assert rb["c_minus"] == pytest.approx(1 / a, rel=1e-15)
+    cp = rb["c_plus"]
+    assert cp * 0.25 ** (-cp * eps) == pytest.approx(rb["sup_ratio"], rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_omega_rho_nonpositive_inf_ratio_gives_zero(flat_small, monkeypatch, value):
+    domain, u = flat_small
+    rb = omega_rho_bounds(_patched_ladder(domain, u, EPS, monkeypatch, entry=value), 0.25)
+    assert rb["inf_ratio"] <= 0
+    assert rb["c_minus"] == 0.0
+
+
 # -- phi property -----------------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ from lipvar.domain_field import (
     harmonic_extension,
     kernel_measure,
 )
-from lipvar.errors import ConfigError
+from lipvar.errors import ConfigError, ResolutionError
 from lipvar.omega import adjoint_sweep
 from lipvar.variation_measure import (
     N_ALPHA,
@@ -81,6 +81,32 @@ def test_variation_matches_refined_reference(flat_small):
             y = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
             ref = ref + 0.5 * (hi - lo) * wq * K.apply_b(domain, u, y, u.rows(y))
     assert np.abs(V.values - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("grid_u", ["kernel_flat", "readme_saw"])
+def test_variation_cells_match_per_node_products(grid_u, request):
+    # each height cell's four nodes share one band product: the same rule as
+    # one apply_b per node, and the same tail from apply_b at two heights
+    domain, u = request.getfixturevalue(grid_u)
+    V = vertical_variation(domain, u)
+    rule = domain.height_rule(V.y_min, V.y_max)
+    ref = K.cell_sum(rule, lambda k: np.stack(
+        [K.apply_b(domain, u, y, u.rows(y)) for y in domain.cell_nodes(k)]))
+    assert np.abs(V.values - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert V.n_evals == 4 * len(rule) + 2
+    y2 = V.y_min + 2 * domain.h
+    f0, f2 = (K.apply_b(domain, u, y, u.rows(y)) for y in (V.y_min, y2))
+    slope = (f2 - f0) / (y2 - V.y_min)
+    assert np.array_equal(V.tail_estimate, f0 * V.y_min - slope * V.y_min ** 2 / 2)
+
+
+def test_cell_products_reject_heights_across_levels(flat_small):
+    domain, _ = flat_small
+    f = np.ones((domain.nx, 2))
+    with pytest.raises(ResolutionError):
+        domain.mass_matvec(np.array([0.45, 0.55]), f)
+    with pytest.raises(ResolutionError):
+        domain.stencil_matvec(np.array([0.45, 0.55]), f)
 
 
 def test_variation_reports_tail(flat_small):
