@@ -38,7 +38,6 @@ from . import halfplane
 from .geometry import LipschitzGraph
 
 NEGLIGIBLE_MASS = 1e-12  # nodes below this fraction of total weight are excluded
-EIG_COND_MAX = 1e5       # eigenbasis condition number above which powers use log G
 _SOLVE_CHUNK = 32
 BAND_HEIGHT = 3.2        # top of a field's cached band (kernels stop at 1)
 
@@ -63,6 +62,8 @@ class DomainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DomainConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"domain must be an object of domain keys, not {d!r}")
         known = ({f.name for f in fields(cls) if f.name != "graph"}
                  | {"phi_breakpoints", "support_radius"})
         unknown = sorted(set(d) - known)
@@ -196,7 +197,6 @@ class DiscreteDomain:
         self._strips = {}
         self._kernel_band = None
         self._weights = None
-        self._eig = None
         self._log = None
         self._fractions = {}
         self._powers = {}
@@ -588,31 +588,13 @@ class DiscreteDomain:
 
     # -- semigroup-exact one-step powers -------------------------------------------
 
-    def _eigensystem(self):
-        """Eigendecomposition ``(vals, V, Vinv)`` of the one-step operator G,
-        or ``"schur"`` when powers take the log path instead.
-
-        The eigen path needs a real spectrum in [0, inf), where every
-        fractional power is real, and, since powers through V carry a
-        relative error of about kappa_2(V) times the unit roundoff, a
-        well-conditioned eigenbasis (flat grids: kappa ~ 1.4; rough Lipschitz
-        profiles reach 1e7 and more).  Every other G takes the log path.  The
-        condition number, unlike the reconstruction error of such a basis,
-        does not depend on the BLAS thread count.  The log path's sentinel is
-        ``"schur"``, the value that ``bench/workloads.py`` and the tests read.
-        """
-        if self._eig is None:
-            vals, V = sla.eig(self.kernel_table()[1])
-            real = not np.any(vals.imag)  # then V is real too
-            vals = np.where(np.abs(vals) < 1e-14, 0.0, vals.real)
-            if not real or np.any(vals < 0) or np.linalg.cond(V) > EIG_COND_MAX:
-                self._eig = "schur"
-            else:
-                self._eig = (vals, V, sla.inv(V))
-        return self._eig
-
     def _log_generator(self):
-        """L = log G (principal branch), computed once, on the log path only."""
+        """L = log G (principal branch), computed once per domain.
+
+        ``logm`` is inverse scaling and squaring (Al-Mohy & Higham 2012); the
+        check that expm(L) reproduces G to 1e-12 of max|G| is the one guard on
+        every fractional power, and a G it fails raises ConvergenceError.
+        """
         if self._log is None:
             G = self.kernel_table()[1]
             L = sla.logm(G)
@@ -629,8 +611,9 @@ class DiscreteDomain:
 
         Fractional powers are functions of G, so the family satisfies the
         composition semigroup exactly (to rounding); the whole omega
-        construction is built on it.  The power is ``row_power``'s, kept here
-        under the height rounded to 12 digits and computed from that key.
+        construction is built on it.  The power is ``row_power``'s,
+        G^n · expm(f log G), kept here under the height rounded to 12 digits
+        and computed from that key.
         Note fractional powers of a Markov matrix may carry small negative
         lobes; positivity findings always refer to the assembled kernels, not
         to these factors.
@@ -647,17 +630,11 @@ class DiscreteDomain:
         """v · G^s for rows v, or G^s itself when v is None.
 
         The one place where powers of G are formed; v is a row vector or a
-        stack of rows.  On the eigen path ((v V) λ^s) V⁻¹.  On the log path
-        (ill-conditioned eigenbases) s = n + f, an s within 1e-9 of an integer
-        counting as that integer: G^n comes from ``_integer_power`` (repeated
-        products), and expm(f log G) from a per-domain table keyed by f
-        rounded to 12 digits, and built from that key.
+        stack of rows.  s = n + f, an s within 1e-9 of an integer counting as
+        that integer: G^n comes from ``_integer_power`` (repeated products),
+        and expm(f log G) from a per-domain table keyed by f rounded to 12
+        digits, and built from that key.
         """
-        eig = self._eigensystem()
-        if eig != "schur":
-            vals, V, Vinv = eig
-            left = V if v is None else v @ V
-            return (left * vals ** s) @ Vinv
         n = int(np.floor(s + 1e-9))
         f = round(s - n, 12)
         if v is None:

@@ -152,8 +152,8 @@ def cell_kernels(domain: DiscreteDomain, u: HarmonicField, k: int, family: str):
     in exit-mass form, stacked (4, nx, nx)."""
     ys = domain.cell_nodes(k)
     if family == "power":
-        # row_power outside the power_rows cache: on the log path the nodes
-        # of every cell share eight entries of the fraction table
+        # row_power outside the power_rows cache: the nodes of every cell
+        # share eight entries of the fraction table
         rows = np.stack([domain.row_power(None, y / domain.h) for y in ys])
     else:
         rows = np.stack([mass_rows(domain, y, family) for y in ys])

@@ -50,7 +50,8 @@ def kernel_flat():
 
 @pytest.fixture(scope="session")
 def saw_tall():
-    """A tall sawtooth at h = 0.1: kappa_2(V) ~ 8e7, log path."""
+    """A tall sawtooth at h = 0.1, whose eigenbasis is ill-conditioned
+    (kappa_2(V) ~ 8e7)."""
     graph = LipschitzGraph.sawtooth(1.1, 2, 2.2)
     return build_domain(DomainConfig(graph, 5.0, 5.0, 0.1, (0.0, 2.1)))
 
@@ -62,7 +63,7 @@ def saw_tall_u(saw_tall):
 
 @pytest.fixture(scope="session")
 def readme_saw():
-    """The README sawtooth at h = 0.05, box 6: log path."""
+    """The README sawtooth at h = 0.05, box 6."""
     cfg = DomainConfig(LipschitzGraph.sawtooth(0.5, 2, 1.0, 0), box_halfwidth=6.0,
                        box_height=6.0, grid_spacing=0.05, pole=(0.0, 1.0))
     return _domain_with_u(cfg)

@@ -292,6 +292,15 @@ def test_bad_domain_value_exits_2(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("domain", [5, [], "x"], ids=["number", "list", "string"])
+def test_domain_not_an_object_exits_2(tmp_path, capsys, domain):
+    # 5 ended in a TypeError, [] in an AttributeError, "x" read as a key
+    p = _write_cfg(tmp_path, domain=domain)
+    assert main(["--config", p, "--out", str(tmp_path / "o"), "verify", "field"]) == 2
+    assert "domain must be an object" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_negative_seed_flag_exits_2(cfg_path, tmp_path, capsys):
     # ended in numpy's ValueError, exit 1
     argv = ["--config", cfg_path, "--out", str(tmp_path / "o"), "--seed", "-1", "verify", "field"]

@@ -36,6 +36,8 @@ from lipvar.omega import (
 )
 
 EPS = 0.05
+# the ids `eigen` (flat) and `log` (sawtooth) name each grid after the power
+# path it took when powers had two paths, kept so the test names stay stable
 SWEEP_GRIDS = pytest.mark.parametrize("grid", ["flat_small", "saw_tall_u"],
                                       ids=["eigen", "log"])
 
