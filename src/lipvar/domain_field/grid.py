@@ -6,10 +6,14 @@ strictly above the (snapped) graph; the graph nodes carry Dirichlet data.
 The artificial sides and top admit two closures:
 
 ``reflect``
-    Mirror ghosts.  All exit mass lands on the physical boundary, so the
-    discrete harmonic measure is a probability on the graph mesh exactly,
-    and operator identities (row sums, extension of constants) hold to
-    machine precision.  This closure backs the kernel algebra.
+    Mirror ghosts at the sides; above the top row the grid goes on for
+    ever, every column interior, and the top row couples to that region
+    through its decaying modes (``_StripSolver``).  All exit mass lands on
+    the physical boundary, so the discrete harmonic measure is a
+    probability on the graph mesh exactly, and operator identities (row
+    sums, extension of constants) hold to machine precision.  The closure
+    is invariant under upward shifts, as the region above a graph is.  This
+    closure backs the kernel algebra.
 
 ``absorb``
     Zero Dirichlet data one ghost step beyond sides and top.  The mass
@@ -180,19 +184,20 @@ class DiscreteDomain:
         # columns, the boundary step further.  A field band reaches
         # BAND_HEIGHT, where the dominance check reads u at 3y.
         head = int(self.ny - 1 - self.jb.max())
-        reach = 1 + int(max(np.abs(self._dj_e).max(), np.abs(self._dj_w).max()))
-        self.band_rows = min(int(np.ceil(1.0 / h - 1e-9)) + reach, head)
+        step = int(max(np.abs(self._dj_e).max(), np.abs(self._dj_w).max()))
+        self.band_rows = min(int(np.ceil(1.0 / h - 1e-9)) + 1 + step, head)
         self.field_rows = min(int(round(BAND_HEIGHT / h)), head)
         self.kernel_mode = "reflect" if config.far_field == "zero" else "absorb"
-        # Top row jt of the boundary strip, the part of the grid each closure
+        # Whether kernel band level n is G^n (``_integer_power``): under the
+        # reflecting closure, with no column step above one grid row.
+        self._band_powers = self.kernel_mode == "reflect" and step <= 1
+        # Top row of the boundary strip, the part of the grid each closure
         # factors: the lowest row above every graph node, so the strip holds
-        # every graph coupling and nothing more.  The box above it, where
+        # every graph coupling and nothing more.  The box above it (no rows
+        # when the graph reaches the grid's second row from the top), where
         # most kernel band levels and the pole sit, is solved in closed form
-        # (``_StripSolver``).  A box of one row would couple twice into the
-        # strip under the mirrored top, so below two rows the strip is the
-        # whole grid.
-        jt = int(self.jb.max()) + 1
-        self.strip_top = jt if self.ny - 1 - jt >= 2 else self.ny - 1
+        # (``_StripSolver``).
+        self.strip_top = int(self.jb.max()) + 1
 
         self._strips = {}
         self._kernel_band = None
@@ -280,6 +285,9 @@ class DiscreteDomain:
     def _assemble(self, mode, nodes=None):
         """5-point system A u = B s_data (+ X box_data for absorbing modes).
 
+        Under ``reflect`` the top row's coupling to the semi-infinite region
+        above the grid is dense, N = Q diag(s*) Q⁻¹, and is not assembled
+        here: the strip solver adds it (``_StripSolver.box_coupling``).
         Given ``nodes`` (sorted interior indices), only their rows are built:
         the matrices keep the full system's shape, hold its rows at ``nodes``
         and are empty elsewhere.  ``None`` builds every row.
@@ -294,7 +302,7 @@ class DiscreteDomain:
         j = p - self.offsets[i] + jb[i] + 1
         rows, cols = [p], [p]        # A: 4 on the diagonal, -1 per neighbour
         brows, bcols = [], []        # B: 1 per graph or wall neighbour
-        xrows, xcols = [], []        # X: 1 per ghost slot (absorbing modes)
+        xrows, xcols = [p[:0]], [p[:0]]  # X: 1 per ghost slot (absorbing modes)
         n_box = 2 * ny + nx  # ghost slots: left rows, right rows, top columns
 
         # west, east, south, north, each with the ghost slot it falls on
@@ -302,13 +310,13 @@ class DiscreteDomain:
         for ni, nj, slot in ((i - 1, j, j), (i + 1, j, ny + j),
                              (i, j - 1, j), (i, j + 1, 2 * ny + i)):
             if mode == "reflect":
-                # mirror ghosts: columns 1 and nx - 2, row ny - 2
+                # mirror ghosts at the sides: columns 1 and nx - 2; nothing
+                # above the top row (the semi-infinite top)
                 ni = np.where(ni < 0, 1, np.where(ni >= nx, nx - 2, ni))
-                nj = np.where(nj >= ny, ny - 2, nj)
-                keep = np.ones(len(p), dtype=bool)
+                keep = nj < ny
             else:
                 keep = (ni >= 0) & (ni < nx) & (nj < ny)
-            xrows.append(p[~keep]); xcols.append(slot[~keep])
+                xrows.append(p[~keep]); xcols.append(slot[~keep])
             q, ni, nj = p[keep], ni[keep], nj[keep]
             # a neighbour on or below the graph (a graph node, or a wall
             # node under a steep snapped step) carries its column's data
@@ -613,7 +621,8 @@ class DiscreteDomain:
         composition semigroup exactly (to rounding); the whole omega
         construction is built on it.  The power is ``row_power``'s,
         G^n · expm(f log G), kept here under the height rounded to 12 digits
-        and computed from that key.
+        and computed from that key; on a grid level inside the kernel band it
+        is band level n itself (``_integer_power``), a view of the band.
         Note fractional powers of a Markov matrix may carry small negative
         lobes; positivity findings always refer to the assembled kernels, not
         to these factors.
@@ -631,9 +640,9 @@ class DiscreteDomain:
 
         The one place where powers of G are formed; v is a row vector or a
         stack of rows.  s = n + f, an s within 1e-9 of an integer counting as
-        that integer: G^n comes from ``_integer_power`` (repeated products),
-        and expm(f log G) from a per-domain table keyed by f rounded to 12
-        digits, and built from that key.
+        that integer: G^n comes from ``_integer_power`` (a kernel band level,
+        or repeated products), and expm(f log G) from a per-domain table
+        keyed by f rounded to 12 digits, and built from that key.
         """
         n = int(np.floor(s + 1e-9))
         f = round(s - n, 12)
@@ -648,7 +657,20 @@ class DiscreteDomain:
         return np.eye(self.nx) if out is None else out
 
     def _integer_power(self, n):
-        """G^n, kept in the power cache under the height n*h."""
+        """G^n.
+
+        Under the reflecting closure, semi-infinite above, the region above
+        level n - 1 is the region above the graph shifted up, as in the
+        continuum.  Where no column step exceeds one grid row, a 5-point walk
+        changes its level above the graph by at most one per move, so a walk
+        from level n passes level n - 1 before it exits, and kernel band
+        level n is G^n: for n <= ``band_rows`` it is returned as a view of
+        the band, never cached.  Elsewhere (steeper steps, the absorbing
+        closure, n above the band) G^n is a repeated product, kept in the
+        power cache under the height n*h.
+        """
+        if self._band_powers and n <= self.band_rows:
+            return self.kernel_table()[n]
         key = round(n * self.h, 12)
         out = self._powers.get(key)
         if out is None:
@@ -782,14 +804,20 @@ class _StripSolver:
 
     A solve is exact block elimination at the strip's top row jt
     (``DiscreteDomain.strip_top``), the lowest row above every graph node.
-    The box above it (rows jt+1 .. ny-1, every column interior, none or at
-    least two rows) carries the constant-coefficient operator
-    K_x ⊗ I + I ⊗ T_y.  The closed-form modes Q of the side operator K_x
-    (cosines between mirrored sides, sines between absorbing ones;
-    eigenvalues λ_k) diagonalise it, and each mode's tridiagonal T_y + λ_k is
-    eliminated from the box top down with pivots
-    s_r = 1 / (2 + λ_k − t_{r+1}); the top ratio t is 2/(2 + λ_k) under a
-    mirrored top and 1/(2 + λ_k) under an absorbing one.  Q and Q⁻¹ are
+    The box above it (rows jt+1 .. ny-1, every column interior, possibly
+    none) carries the constant-coefficient operator K_x ⊗ I + I ⊗ T_y.  The
+    closed-form modes Q of the side operator K_x (cosines between mirrored
+    sides, sines between absorbing ones; eigenvalues λ_k) diagonalise it,
+    and each mode's tridiagonal T_y + λ_k is eliminated from the box top
+    down with pivots s_r = 1 / (d_k − s_{r+1}), d_k = 2 + λ_k.  Under the
+    absorbing closure the top row sees zero data above it (s_top = 1/d_k).
+    The reflecting closure is semi-infinite above: the grid goes on above
+    its top row, and each mode's bounded column solution there decays by
+    the root s* = (d_k − √(d_k² − 4))/2 of s² − d_k s + 1 = 0 per row (1 for
+    the constant mode), the fixed point of the pivot recurrence, so every
+    pivot is s*, whatever the box height, and the box's rows are the
+    semi-infinite region's.  With no box rows the strip's top row couples
+    to that region directly, by the same N as below.  Q and Q⁻¹ are
     never formed: they are type-1 trigonometric transforms along the last
     axis of (rows, m, nx) arrays, O(nx log nx) per row.  With M = nx − 1,
     e = (½, 1, …, 1, ½) and d = 1/e, Q x = ½ DCT-I(d ⊙ x) and
@@ -825,9 +853,9 @@ class _StripSolver:
 
     Transposed solves need no factors of their own.  A mirrored neighbour
     couples twice, so under the reflecting closure D A is symmetric for the
-    diagonal D (``sym``) that is ½ on the end columns and the top row, ¼ at
-    the top corners and 1 elsewhere (the identity under the absorbing
-    closure); thus Aᵀ = D A D⁻¹ and ``adjoint`` is D A⁻¹ D⁻¹.
+    diagonal D (``sym``) that is ½ on the end columns and 1 elsewhere (the
+    top's coupling N is D-symmetric too; D is the identity under the
+    absorbing closure); thus Aᵀ = D A D⁻¹ and ``adjoint`` is D A⁻¹ D⁻¹.
     """
 
     def __init__(self, domain, mode):
@@ -844,10 +872,9 @@ class _StripSolver:
         A, self.B, self.X = domain._assemble(mode, np.flatnonzero(~in_box | wall))
         self.sym = np.ones(domain.n_interior)
         if mode == "reflect":
-            o = domain.offsets  # column i holds o[i] .. o[i+1] - 1, top row last
-            self.sym[:o[1]] *= 0.5
-            self.sym[o[-2]:] *= 0.5
-            self.sym[o[1:] - 1] *= 0.5
+            o = domain.offsets  # column i holds o[i] .. o[i+1] - 1
+            self.sym[:o[1]] = 0.5
+            self.sym[o[-2]:] = 0.5
         self.top = T = self.local(np.arange(nx), jt)
         shapes = {}
         for cols in (np.arange(nx), np.arange(nx)[::-1]):
@@ -875,7 +902,7 @@ class _StripSolver:
         # minimum-degree ordering on A^T + A: about half the fill of the
         # default COLAMD on these grids
         self.lu = splu(A_CC.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        if self.rows:
+        if self.rows or mode == "reflect":
             self._modes(nx, mode)
             S -= self.box_coupling()
         for lo in range(0, nx, _SOLVE_CHUNK):
@@ -884,6 +911,11 @@ class _StripSolver:
         self.schur = lu_factor(S, overwrite_a=True)
 
     def _modes(self, nx, mode):
+        """The side modes' transforms and each mode's pivots s (rows, nx) up
+        the box, with s0, the pivots of the box's bottom row: under the
+        reflecting closure every pivot is the decaying root s*, whatever
+        the number of rows (none included), and under the absorbing one the
+        recurrence runs down from zero data above the top row."""
         k = np.arange(nx)
         self._mirrored = mode == "reflect"
         if self._mirrored:
@@ -891,25 +923,24 @@ class _StripSolver:
             e = np.where((k == 0) | (k == M), 0.5, 1.0)
             self._trig = partial(sfft.dct, type=1)
             self._q, self._p = 0.5 / e, e / M
-            lam = 2.0 - 2.0 * np.cos(np.pi * k / M)
-            self.mirror = 2.0
+            # s* = (d − √(d² − 4))/2 = exp(−2 asinh sin(πk/2M)) for
+            # d = 2 + 4 sin²(πk/2M), in the form free of cancellation
+            self.s0 = np.exp(-2.0 * np.arcsinh(np.sin(np.pi * k / (2 * M))))
+            s = np.broadcast_to(self.s0, (self.rows, nx))
         else:
             self._trig = partial(sfft.dst, type=1)
             self._q, self._p = 0.5, 1.0 / (nx + 1)
-            lam = 2.0 - 2.0 * np.cos(np.pi * (k + 1) / (nx + 1))
-            self.mirror = 1.0
-        d = 2.0 + lam
-        s = np.empty((self.rows, nx))  # s[r] = [(T_y + λ)⁻¹ on rows r..top]₀₀
-        s[-1] = 1.0 / d
-        t = self.mirror * s[-1]
-        for r in range(self.rows - 2, -1, -1):
-            s[r] = t = 1.0 / (d - t)
+            d = 2.0 + (2.0 - 2.0 * np.cos(np.pi * (k + 1) / (nx + 1)))  # 2 + λ_k
+            s = np.empty((self.rows, nx))  # s[r] = [(T_y + λ)⁻¹ on rows r..top]₀₀
+            t = 0.0  # zero data above the top row
+            for r in range(self.rows - 1, -1, -1):
+                s[r] = t = 1.0 / (d - t)
+            self.s0 = s[0]
         self.s = s
         # The modal propagation of the strip's top row v into the box,
-        # x_0 = s_0 v and x_r = s_r x_{r-1}, with the mirror factor on the
-        # top row, and the constants of Q and Q⁻¹ folded in.
+        # x_0 = s_0 v and x_r = s_r x_{r-1}, with the constants of Q and Q⁻¹
+        # folded in.
         self.lift = np.cumprod(s, axis=0) * (self._q * self._p)
-        self.lift[-1] *= self.mirror
 
     def _modal(self, u):
         """Q⁻¹ along the last axis of nodal values u."""
@@ -921,14 +952,15 @@ class _StripSolver:
 
     def box_coupling(self):
         """N = Q diag(s_0) Q⁻¹, the box's bottom row under unit bottom-row
-        data, from one transform of s_0: Toeplitz ± Hankel in the modes'
+        data (under the reflecting closure, the semi-infinite region's, with
+        s_0 = s*), from one transform of s_0: Toeplitz ± Hankel in the modes'
         cosine coefficients, each extended evenly over its period."""
-        nx = self.s.shape[1]
+        nx = len(self.s0)
         if self._mirrored:
-            c = sfft.dct(self.s[0], type=1) / (2 * (nx - 1))
+            c = sfft.dct(self.s0, type=1) / (2 * (nx - 1))
             full = np.concatenate([c, c[-2::-1]])  # c_0 .. c_2M
             return (sla.toeplitz(c) + sla.hankel(c, full[nx - 1:])) * (self._p * (nx - 1))
-        a = sfft.dct(np.concatenate([[0.0], self.s[0], [0.0]]), type=1) / (2 * (nx + 1))
+        a = sfft.dct(np.concatenate([[0.0], self.s0, [0.0]]), type=1) / (2 * (nx + 1))
         full = np.concatenate([a, a[-2::-1]])  # a_0 .. a_2L
         return sla.toeplitz(a[:nx]) - sla.hankel(full[2:nx + 2], full[nx + 1:2 * nx + 1])
 
@@ -943,7 +975,7 @@ class _StripSolver:
         fills one)."""
         if not fb.any():
             return None
-        fb = fb.reshape(self.s.shape[1], self.rows, -1).transpose(1, 2, 0)
+        fb = fb.reshape(len(self.s0), self.rows, -1).transpose(1, 2, 0)
         nz = np.flatnonzero(fb.any(axis=(1, 2)))
         g = np.zeros(fb.shape)
         g[nz] = self._modal(fb[nz])
@@ -955,7 +987,7 @@ class _StripSolver:
         """Strip values (strip nodes, m) for the strip part fs of a
         right-hand side and the ``box_modes`` of its box part."""
         if modes is not None:
-            fs[self.top] += self._nodal(self.s[0] * modes[0]).T
+            fs[self.top] += self._nodal(self.s0 * modes[0]).T
         fc, ft = fs[self.core], fs[self.top]
         if self.wings:
             g = [w.modes(fs) for w in self.wings]
@@ -986,8 +1018,7 @@ class _StripSolver:
         if modes is not None:
             y = 0.0  # substitute upwards
             for r in range(rows):
-                c = self.mirror if r == self.rows - 1 else 1.0
-                y = self.s[r] * (modes[r] + c * y)
+                y = self.s[r] * (modes[r] + y)
                 x[r] += self._q * y
         return self._trig(x, overwrite_x=True)
 

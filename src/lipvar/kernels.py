@@ -22,11 +22,24 @@ Two realizations of the k-family coexist:
     Fractional powers of the one-grid-step exit operator.  The family is
     semigroup-exact to rounding, which the omega construction requires so
     that its dyadic products telescope.  The exit measures at height y are
-    not a semigroup on a Lipschitz graph, so the two families differ, and
-    the gap does not go to 0 with h: on the README configuration
-    sup|k^power_y - k^martin_y| / sup|k^martin_y| reads 1.64e-4, 1.86e-4
-    and 1.96e-4 at y = 0.5 and 1.43e-3, 1.50e-3 and 1.54e-3 at y = 1, for
-    h = 0.1, 0.05 and 0.025.
+    a semigroup on every Lipschitz graph too (a path from height y1 + y2
+    must cross the graph shifted up by y1), and so are the grid's where no
+    column step exceeds one row, under the kernel closure, which is
+    semi-infinite above: there band level n is G^n, and the families agree
+    at grid levels to rounding (``checks.family_gap``: at most 1.6e-14 at
+    y = 0.25, 0.5 and 1 on the README configuration, h = 0.05).  Between
+    levels the martin rows are linear in y and the powers are not.  Under a
+    reflecting top at box_height instead, the gap is the top's, not the
+    graph's (h = 0.05, y = 0.5, sup|k^power_y - k^martin_y| /
+    sup|k^martin_y|):
+
+        box (half-width x height)   README sawtooth   flat
+        6 x 6                       1.86e-4           1.85e-4
+        6 x 12                      7.27e-6           7.27e-6
+        6 x 24                      1.35e-8           1.35e-8
+
+    Where a column step exceeds one row, the band is not G^n, and the
+    families stay apart as h goes to 0.
 """
 
 from __future__ import annotations

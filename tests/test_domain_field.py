@@ -478,10 +478,34 @@ def test_kernel_measure_is_a_kernel_closure_row(far_field, point):
 # -- kernel band on the boundary strip -------------------------------------------
 
 
+def _top_coupling(domain):
+    """The reflecting closure's semi-infinite top as a matrix on the interior
+    nodes: the grid's top row couples to N = Q diag(s*) Q⁻¹, where s* is the
+    decaying root (d − √(d² − 4))/2 of each cosine mode's column recurrence,
+    d = 2 + λ.  Built from the dense bases in extended precision."""
+    nx = domain.nx
+    Q, Qinv = _range_reduced_modes(nx, "reflect")
+    pi = np.arccos(np.longdouble(-1.0))
+    d = 2 + 4 * np.sin(pi * np.arange(nx) / (2 * (nx - 1))) ** 2
+    N = ((Q * ((d - np.sqrt(d * d - 4)) / 2)) @ Qinv).astype(float)
+    top = domain.index(np.arange(nx), domain.ny - 1)
+    n = domain.n_interior
+    return sp.csr_matrix((N.ravel(), (np.repeat(top, nx), np.tile(top, nx))), shape=(n, n))
+
+
+def _closure_matrix(domain, mode):
+    """The whole closure's system (A, B, X): the assembled rows, and under the
+    reflecting closure the top row's dense coupling to the region above."""
+    A, B, X = domain._assemble(mode)
+    if mode == "reflect":
+        A = A - _top_coupling(domain)
+    return A, B, X
+
+
 def _full_lu(domain, mode):
     """The whole-grid LU of one closure, as every solve factored it before the
     strip solver: the reference for ``_StripSolver``."""
-    A, B, X = domain._assemble(mode)
+    A, B, X = _closure_matrix(domain, mode)
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A"), B, X
 
 
@@ -523,12 +547,12 @@ _STRIP_GRIDS = {
     "box2_halfplane": _flat_cfg(box_height=1.3, far_field="halfplane"),
     "pole_above_band": _flat_cfg(pole=(0.0, 1.5)),
     "pole_above_band_halfplane": _flat_cfg(pole=(0.0, 1.5), far_field="halfplane"),
-    # a halfplane grid with a 1-row box: the strip is the whole grid
+    # a halfplane grid with a 1-row box
     "halfplane_box1": _flat_cfg(box_halfwidth=2.0, box_height=2.0, grid_spacing=1.0,
                                 far_field="halfplane"),
     # a tall tooth in short boxes: the box above the strip has 0, 1 and 2
-    # rows, and a 1-row box would couple twice into the strip under the
-    # mirrored top; the pole beside the tooth sits in the strip
+    # rows, and with none the strip is the whole grid, its top row coupled
+    # to the region above; the pole beside the tooth sits in the strip
     "tooth_box0": _tooth_cfg(box_height=1.1),
     "tooth_box1": _tooth_cfg(box_height=1.2),
     "tooth_box2": _tooth_cfg(box_height=1.3),
@@ -556,17 +580,72 @@ def test_strip_band_matches_full_solve(name, request):
     assert np.abs(domain.hm_weights - w).max() <= 1e-14
 
 
+# grids of the reflecting closure with no column step above one row
+_BAND_POWER_GRIDS = ["flat_small", "saw_small", "box0", "box1", "box2", "pole_above_band",
+                     "lopsided", "teeth_down"]
+
+
+@pytest.mark.parametrize("name", _BAND_POWER_GRIDS)
+def test_integer_powers_are_band_levels(name, request):
+    # semi-infinite above, the region over level n - 1 is the region over the
+    # graph shifted up, and a walk from level n must pass level n - 1: band
+    # level n is G^n, returned as a view of the band and never cached
+    domain = _strip_grid(name, request)
+    assert domain._band_powers
+    band = domain.kernel_table()
+    cached = set(domain._powers)
+    for n in range(1, domain.band_rows + 1):
+        ref = np.linalg.matrix_power(band[1], n)
+        got = domain._integer_power(n)
+        assert np.shares_memory(got, band)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert set(domain._powers) == cached
+
+
+@pytest.mark.parametrize("name", ["saw_steep", "halfplane"])
+def test_integer_powers_fall_back_to_products(name, request):
+    # a column step of two rows (saw_steep) lets a walk skip a level, and the
+    # absorbing closure of halfplane domains is not shift-invariant: the band
+    # levels are not G^n, and G^n is the cached repeated product
+    domain = _strip_grid(name, request)
+    assert not domain._band_powers
+    band = domain.kernel_table()
+    for n in range(2, domain.band_rows + 1):
+        ref = np.linalg.matrix_power(band[1], n)
+        got = domain._integer_power(n)
+        assert not np.shares_memory(got, band)
+        assert domain._powers[round(n * domain.h, 12)] is got
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    n = domain.band_rows
+    assert np.abs(band[n] - domain._integer_power(n)).max() > 1e-2
+
+
+def test_kernel_closure_does_not_depend_on_box_height():
+    # the reflecting closure is semi-infinite above, so the box height only
+    # sizes the grid: on the README sawtooth the band and the pole masses of
+    # boxes 3 and 12 high agree on their common levels
+    def domain(height):
+        return build_domain(DomainConfig(LipschitzGraph.sawtooth(0.5, 2, 1.0, 0), 6.0,
+                                         height, 0.05, (0.0, 1.0)))
+
+    low, tall = domain(3.0), domain(12.0)
+    n = min(low.band_rows, tall.band_rows) + 1
+    assert n > round(1.0 / low.h)
+    assert np.abs(low.kernel_table()[:n] - tall.kernel_table()[:n]).max() <= 1e-13
+    assert np.abs(low.hm_weights - tall.hm_weights).max() <= 1e-13
+
+
 def test_strip_grids_cover_the_box_cases():
     domains = {name: build_domain(cfg) for name, cfg in _STRIP_GRIDS.items()
                if name.startswith("tooth")}
     boxes = [domains[f"tooth_box{k}"] for k in range(3)]
     assert [_box_rows(d) for d in boxes] == [0, 1, 2]
-    # below two box rows the strip is the whole grid
-    assert [d.strip_top == d.ny - 1 for d in boxes] == [True, True, False]
+    # the strip is the whole grid only where no box row is left above it
+    assert [d.strip_top == d.ny - 1 for d in boxes] == [True, False, False]
     for d in boxes:
         assert d.snap_point(d.config.pole)[1] <= d.strip_top
     d = build_domain(_STRIP_GRIDS["halfplane_box1"])
-    assert _box_rows(d) == 1 and d.strip_top == d.ny - 1
+    assert _box_rows(d) == 1 and d.strip_top == d.ny - 2
     d = domains["tooth_pole_in_box"]
     pi, pj = d.snap_point(d.config.pole)
     assert pj > d.strip_top and pj - d.jb[pi] > d.band_rows
@@ -666,7 +745,7 @@ def test_box_elimination_is_the_box_inverse(far_field):
                                     far_field=far_field))
     c = domain._strip_solver(domain.kernel_mode)
     assert c.rows >= 2
-    A, _, X = domain._assemble(domain.kernel_mode)
+    A, _, X = _closure_matrix(domain, domain.kernel_mode)
     box = c.box
     Abox = A[box][:, box].tocsc()
     lu = spla.splu(Abox)
@@ -722,11 +801,10 @@ def test_box_transforms_match_range_reduced_bases(halfwidth, h, nx, mode):
     c = domain._strip_solver(mode)
     Q, Qinv = _range_reduced_modes(nx, mode)
     lift = np.cumprod(c.s, axis=0)
-    lift[-1] *= c.mirror
     v = np.random.default_rng(6).random((nx, 3))
     ref = (Q @ (lift.T[:, :, None] * (Qinv @ v)[:, None]).reshape(nx, -1)).reshape(-1, 3)
     assert np.abs(c.box_values(None, v) - ref).max() <= 2e-15 * np.abs(ref).max()
-    N = (Q * c.s[0]) @ Qinv
+    N = (Q * c.s0) @ Qinv
     assert np.abs(c.box_coupling() - N).max() <= 2e-15 * np.abs(N).max()
 
 
@@ -735,8 +813,9 @@ def test_box_transforms_match_range_reduced_bases(halfwidth, h, nx, mode):
 def test_closure_symmetrizer(name, mode, request):
     # D A is symmetric for the closure's diagonal D, so Aᵀ = D A D⁻¹ and the
     # adjoint D A⁻¹ D⁻¹ is the transposed solve; the sources sit in column 0
-    # (D = ½ under the mirrored closure): at its top corner (D = ¼), halfway
-    # up, and on its lowest interior row, in the wing where there is one
+    # (D = ½ under the mirrored closure): at its top, where the reflecting
+    # closure's dense top coupling meets the mirrored side, halfway up, and
+    # on its lowest interior row, in the wing where there is one
     domain = _strip_grid(name, request)
     c = domain._strip_solver(mode)
     lu, _, _ = _full_lu(domain, mode)
@@ -806,9 +885,11 @@ def _assemble_loop(domain, mode):
                     (i, j - 1, None, None), (i, j + 1, 2, i))
             for (ni, nj, side, slot) in nbrs:
                 if ni < 0 or ni >= nx or nj >= ny:
+                    if reflecting and nj >= ny:
+                        continue  # the semi-infinite top: the strip solver's
                     if reflecting:
-                        mi = ii_w if ni < 0 else (ii_e if ni >= nx else i)
-                        mj = nj if nj < ny else ny - 2
+                        mi = ii_w if ni < 0 else ii_e
+                        mj = nj
                         if mj > jb[mi]:
                             rows.append(p); cols.append(domain.offsets[mi] + (mj - jb[mi] - 1))
                             vals.append(-1.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from lipvar import checks
 from lipvar import kernels as K
 from lipvar.domain_field import (
     DomainConfig,
@@ -362,7 +363,9 @@ def test_cell_powers_bypass_power_rows(grid, lattice_seg, request, monkeypatch):
 def test_complex_spectrum_takes_the_log_path():
     # G = Q D Q^T, a normal G planted as the one-step operator: a rotation
     # block in D takes its spectrum off the real line, and a zero eigenvalue
-    # leaves log G without a finite value; the powers must hold for both
+    # leaves log G without a finite value; the powers must hold for both.
+    # The band is planted whole, level n as G^n = Q D^n Q^T, since on this
+    # flat grid G^n is read from the band
     def planted(lowest, rotation):
         domain = build_domain(DomainConfig(LipschitzGraph.flat(), box_halfwidth=2.0,
                                            box_height=2.0, grid_spacing=0.5))
@@ -372,7 +375,9 @@ def test_complex_spectrum_takes_the_log_path():
         if rotation:
             c, s = np.cos(0.7), np.sin(0.7)
             D[:2, :2] = 0.6 * np.array([[c, -s], [s, c]])
-        domain.kernel_table()[1] = Q @ D @ Q.T
+        band = domain.kernel_table()
+        for n in range(1, domain.band_rows + 1):
+            band[n] = Q @ np.linalg.matrix_power(D, n) @ Q.T
         return domain, Q, D
 
     domain, Q, D = planted(0.3, rotation=True)
@@ -383,6 +388,17 @@ def test_complex_spectrum_takes_the_log_path():
     for p in (0.5, 1.25, 3.0):
         ref = Q @ np.diag(np.diag(D) ** p) @ Q.T
         assert np.abs(domain.row_power(None, p) - ref).max() <= 1e-12
+
+
+def test_family_gap_is_rounding_unless_a_step_skips_a_row(saw_small):
+    # band level n against G^n as repeated products: rounding on the slope-1
+    # sawtooth, and at slope 2, where a column step of two rows lets a walk
+    # skip a level, the distance of the two families
+    domain, _ = saw_small
+    assert max(checks.family_gap(domain, (0.25, 0.5, 1.0)).values()) <= 1e-10
+    steep = build_domain(DomainConfig(LipschitzGraph.sawtooth(1.0, 2, 1.0), 5.0, 5.0, 0.1,
+                                      (0.0, 1.0)))
+    assert min(checks.family_gap(steep, (0.25, 0.5, 1.0)).values()) > 1e-2
 
 
 def test_log_path_powers_match_schur_pade(saw_tall):
