@@ -16,6 +16,9 @@ from ..errors import ConfigError
 
 # Length of the synthetic flat rays used to close the polyline at +-infinity.
 _RAY = 1.0e9
+# Segments per block of ``LipschitzGraph.nearest``: its (block × points)
+# temporaries stay small on a profile of many breakpoints.
+_SEGMENT_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -115,21 +118,46 @@ class LipschitzGraph:
 
     def nearest(self, points, offset: float = 0.0):
         """Distance from points (n,2) to the polyline and the nearest point
-        on it, ``(dist (n,), proj (n,2))``, from one pass over the segments.
+        on it, ``(dist (n,), proj (n,2))``, in one pass over (segments ×
+        points) arrays, the segments taken in blocks of ``_SEGMENT_BLOCK``.
 
         Segments are compared by the norm itself, not its square, and a tie
         keeps the first segment's point.  Each point's result depends on that
         point alone."""
-        p = np.atleast_2d(np.asarray(points, dtype=float)).T  # (2, n)
-        dist = np.full(p.shape[1], np.inf)
-        proj = np.empty_like(p)
-        for (ax, ay), (bx, by) in zip(*self.segments(offset)):
-            dx, dy = bx - ax, by - ay
-            t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / max(dx * dx + dy * dy, 1e-300)
-            q = np.clip(t, 0.0, 1.0) * [[dx], [dy]] + [[ax], [ay]]
-            e = p - q
-            d = np.sqrt(e[0] * e[0] + e[1] * e[1])
-            closer = d < dist
-            np.copyto(dist, d, where=closer)
-            np.copyto(proj, q, where=closer)
-        return dist, proj.T
+        px, py = np.atleast_2d(np.asarray(points, dtype=float)).T[:, None]  # (1, n)
+        a, b = self.segments(offset)
+        ax, ay = a.T[:, :, None]  # (segments, 1)
+        dx, dy = (b - a).T[:, :, None]
+        norm = np.maximum(dx * dx + dy * dy, 1e-300)
+        n = px.shape[1]
+        cols = np.arange(n)
+        dist = np.full(n, np.inf)
+        proj = np.empty((n, 2))
+        for lo in range(0, len(a), _SEGMENT_BLOCK):
+            s = slice(lo, lo + _SEGMENT_BLOCK)
+            # the loop's arithmetic, in place: t, then the segment point q,
+            # then the distance d
+            t = px - ax[s]
+            t *= dx[s]
+            d = py - ay[s]
+            d *= dy[s]
+            t += d
+            t /= norm[s]
+            np.clip(t, 0.0, 1.0, out=t)
+            qx = t * dx[s]
+            qx += ax[s]
+            qy = np.multiply(t, dy[s], out=t)
+            qy += ay[s]
+            d = np.subtract(px, qx, out=d)
+            d *= d
+            e = py - qy
+            e *= e
+            d += e
+            np.sqrt(d, out=d)
+            k = np.argmin(d, axis=0)  # the first of tied segments
+            dk = d[k, cols]
+            closer = dk < dist
+            dist[closer] = dk[closer]
+            proj[closer, 0] = qx[k, cols][closer]
+            proj[closer, 1] = qy[k, cols][closer]
+        return dist, proj

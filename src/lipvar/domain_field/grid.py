@@ -378,13 +378,18 @@ class DiscreteDomain:
         The nx right-hand sides are solved on the boundary strip, in chunks
         of columns.  Levels at or below the strip's top row are read from
         the strip; the others from the bottom rows of the box above it, the
-        only box rows built.  A chunk's box is laid out (box rows, chunk
-        columns, nx), so that both of the box's transforms run along the
-        contiguous last axis (``_StripSolver.box_block``).  The band is
-        filled by runs of columns that share a graph row: a run's strip
-        levels are one (columns × levels) block of the strip, its box levels
-        one (rows × chunk × columns) block of the box, and each block is
-        copied into the band once.  The pole masses
+        only box rows built.  The band is filled by runs of columns that
+        share a graph row: a run's strip levels are one (columns × levels)
+        block of each chunk's strip solve, copied into the band per chunk.
+        The box levels follow the solves, one box row at a time: the
+        strip's top row under all nx right-hand sides is kept as one (base
+        columns, nx) array and transformed once, in place, to the side
+        modes along its base-column axis; box row r is one transform of
+        lift_r ⊙ modes back along that axis, written as whole band rows
+        into every run that reaches it.  On ``halfplane`` domains the box
+        also carries the far-field oracle's wall data, whose part of the box
+        levels (``_StripSolver.box_block`` of its modes) is written per
+        chunk, and the rows add the top row's part.  The pole masses
         (``hm_weights``) are the kernel measure at the pole: a band row, or
         one ``adjoint`` solve.
         """
@@ -399,29 +404,43 @@ class DiscreteDomain:
         rows = max(int(jb.max()) + nb - jt, 0)  # box rows the band reaches
         # per run [a, b) of graph row jw: its strip block starts at
         # local(a, jw + 1) and holds jt - jw levels per column, of which the
-        # band takes the first k; the box gives the other nb - k
+        # band takes the first k; box rows 0 .. nb - k - 1 give the others
         ends = np.append(np.flatnonzero(np.diff(jb)) + 1, nx)
         runs = [(a, b, c.local(a, jb[a] + 1), jt - jb[a], min(nb, jt - jb[a]))
                 for a, b in zip(np.append(0, ends[:-1]), ends)]
         band = np.empty((nb + 1, nx, nx))
         band[0] = np.eye(nx)
+        top = np.empty((nx, nx))  # top[i, j]: top-row value at column i, data at node j
         for lo in range(0, nx, _SOLVE_CHUNK):
             hi = min(lo + _SOLVE_CHUNK, nx)
             rhs = B[:, lo:hi].toarray()
-            modes = None
+            modes = wall = None
             if oracle is not None:
                 rhs += X @ oracle[:, lo:hi]
                 # the box's bottom row also feeds the strip's top row
                 modes = c.box_modes(c.X[c.box] @ oracle[:, lo:hi])
-            sol, box = c.solve_strip(rhs, modes), None
-            if rows:
-                box = c.box_block(modes, sol[c.top], rows=rows)
+                if rows:  # the wall data's part of the box levels
+                    wall = c.box_block(modes, np.zeros((nx, hi - lo)), rows)
+            sol = c.solve_strip(rhs, modes)
+            top[:, lo:hi] = sol[c.top]
             for a, b, start, depth, k in runs:
                 block = sol[start:start + (b - a) * depth].reshape(b - a, depth, -1)
                 band[1:k + 1, a:b, lo:hi] = block[:, :k].transpose(1, 0, 2)
-                if k < nb:
-                    band[k + 1:, a:b, lo:hi] = box[:nb - k, :, a:b].transpose(0, 2, 1)
-            del sol, box, block  # freed before the next chunk's solve
+                if wall is not None and k < nb:
+                    band[k + 1:, a:b, lo:hi] = wall[:nb - k, :, a:b].transpose(0, 2, 1)
+            del sol, wall, block  # freed before the next chunk's solve
+        # the top row's part of the box levels, adding to the wall data's
+        modes = c._trig(top, axis=0, overwrite_x=True)
+        row = np.empty_like(top)
+        for r in range(rows):
+            np.multiply(c.lift[r, :, None], modes, out=row)
+            values = c._trig(row, axis=0, overwrite_x=True)
+            for a, b, _, _, k in runs:
+                if r < nb - k:
+                    if oracle is None:
+                        band[k + 1 + r, a:b] = values[a:b]
+                    else:
+                        band[k + 1 + r, a:b] += values[a:b]
         self._kernel_band = band
         self._weights = kernel_measure(self, self.config.pole).s_masses
         return band
@@ -818,8 +837,9 @@ class _StripSolver:
     pivot is s*, whatever the box height, and the box's rows are the
     semi-infinite region's.  With no box rows the strip's top row couples
     to that region directly, by the same N as below.  Q and Q⁻¹ are
-    never formed: they are type-1 trigonometric transforms along the last
-    axis of (rows, m, nx) arrays, O(nx log nx) per row.  With M = nx − 1,
+    never formed: they are type-1 trigonometric transforms along the box's
+    column axis, O(nx log nx) per row: the last axis of (rows, m, nx)
+    arrays, or the first of the kernel band's (nx, nx) rows.  With M = nx − 1,
     e = (½, 1, …, 1, ½) and d = 1/e, Q x = ½ DCT-I(d ⊙ x) and
     Q⁻¹ v = (1/M) e ⊙ DCT-I(v) between mirrored sides, and Q x = ½ DST-I(x)
     and Q⁻¹ = DST-I / (nx + 1) between absorbing ones.  The strip's top row
@@ -843,8 +863,11 @@ class _StripSolver:
     3. solves C and T: y = A'_CC⁻¹ f_C, x_T = S⁻¹ (f_T − A'_TC y) and
        x_C = A'_CC⁻¹ (f_C − A'_CT x_T);
     4. adds the wings' solve of their Γ data from x_T and x_C to step 2;
-    5. rebuilds the box, or only its bottom rows: the step-1 values plus
-       the modal propagation of the top row.
+    5. rebuilds the box from the step-1 values plus the modal propagation
+       of the top row: all of it (``box_block``), only its walls
+       (``box_walls``, for the exit rows), or, for the kernel band, only its
+       bottom rows, one row at a time over all right-hand sides
+       (``DiscreteDomain.kernel_table``).
 
     Of the closure's system only the strip's rows and the box's wall nodes
     (side columns and top row) are assembled: the factors read A on the
@@ -870,6 +893,7 @@ class _StripSolver:
         # the rows read: the strip's, and X's on the box walls
         wall = (i == 0) | (i == nx - 1) | (j == ny - 1)
         A, self.B, self.X = domain._assemble(mode, np.flatnonzero(~in_box | wall))
+        self._walls = np.flatnonzero(wall[in_box])  # the box's walls, in box order
         self.sym = np.ones(domain.n_interior)
         if mode == "reflect":
             o = domain.offsets  # column i holds o[i] .. o[i+1] - 1
@@ -923,6 +947,7 @@ class _StripSolver:
             e = np.where((k == 0) | (k == M), 0.5, 1.0)
             self._trig = partial(sfft.dct, type=1)
             self._q, self._p = 0.5 / e, e / M
+            first = 2.0 * e
             # s* = (d − √(d² − 4))/2 = exp(−2 asinh sin(πk/2M)) for
             # d = 2 + 4 sin²(πk/2M), in the form free of cancellation
             self.s0 = np.exp(-2.0 * np.arcsinh(np.sin(np.pi * k / (2 * M))))
@@ -930,6 +955,7 @@ class _StripSolver:
         else:
             self._trig = partial(sfft.dst, type=1)
             self._q, self._p = 0.5, 1.0 / (nx + 1)
+            first = 2.0 * np.sin(np.pi * (k + 1) / (nx + 1))
             d = 2.0 + (2.0 - 2.0 * np.cos(np.pi * (k + 1) / (nx + 1)))  # 2 + λ_k
             s = np.empty((self.rows, nx))  # s[r] = [(T_y + λ)⁻¹ on rows r..top]₀₀
             t = 0.0  # zero data above the top row
@@ -937,6 +963,10 @@ class _StripSolver:
                 s[r] = t = 1.0 / (d - t)
             self.s0 = s[0]
         self.s = s
+        # the transform's first and last values as linear forms in its
+        # input, each weight of the last the first's times (-1)^k
+        # (``box_walls``)
+        self._ends = np.column_stack([first, first * (-1.0) ** k])
         # The modal propagation of the strip's top row v into the box,
         # x_0 = s_0 v and x_r = s_r x_{r-1}, with the constants of Q and Q⁻¹
         # folded in.
@@ -1008,38 +1038,56 @@ class _StripSolver:
                 lo = hi
         return x
 
-    def box_block(self, modes, v, rows=None):
-        """Box values (rows, m, nx) for the ``box_modes`` of a right-hand
-        side (None: zero) and strip top-row values v (nx, m), the bottom
-        ``rows`` rows only when given: Q (lift ⊙ Q⁻¹ vᵀ + the modes'
-        upward substitution), both transforms on the contiguous last axis."""
-        rows = self.rows if rows is None else rows
+    def _box_modal(self, modes, v, rows):
+        """Modes (rows, m, nx) of the box's bottom ``rows`` rows, Q's
+        constants folded in: lift ⊙ Q⁻¹ vᵀ + the upward substitution of the
+        ``box_modes`` of a right-hand side (None: zero), for strip top-row
+        values v (nx, m)."""
         x = self.lift[:rows, None] * self._trig(v.T)
         if modes is not None:
             y = 0.0  # substitute upwards
             for r in range(rows):
                 y = self.s[r] * (modes[r] + y)
                 x[r] += self._q * y
-        return self._trig(x, overwrite_x=True)
+        return x
 
-    def box_values(self, modes, v, rows=None):
+    def box_block(self, modes, v, rows=None):
+        """Box values (rows, m, nx), the bottom ``rows`` rows only when
+        given: Q of ``_box_modal``, both transforms on the contiguous last
+        axis."""
+        rows = self.rows if rows is None else rows
+        return self._trig(self._box_modal(modes, v, rows), overwrite_x=True)
+
+    def box_values(self, modes, v):
         """``box_block`` in box order (box nodes, m): column-major."""
-        x = self.box_block(modes, v, rows)
+        x = self.box_block(modes, v)
         return x.transpose(2, 0, 1).reshape(-1, x.shape[1])
 
-    def solve(self, f):
-        """x (n,) with A x = f."""
+    def box_walls(self, modes, v):
+        """``box_values`` on the box's walls alone (side columns and top
+        row, the only box nodes X reaches), in box order: the side columns
+        as each row's modes against Q's end rows, the top row by one
+        transform."""
+        x = self._box_modal(modes, v, self.rows)
+        side = x @ self._ends
+        return np.concatenate([side[:, :, 0], self._trig(x[-1])[:, 1:-1].T, side[:, :, 1]])
+
+    def solve(self, f, walls=False):
+        """x (n,) with A x = f; with ``walls``, of the box only its walls
+        (``box_walls``), zero inside it."""
         f2 = np.asarray(f, dtype=float)[:, None]
         modes = self.box_modes(f2[self.box])
-        x = np.empty_like(f2)
+        x = np.zeros_like(f2)
         x[self.strip] = xs = self.solve_strip(f2[self.strip], modes)
-        if self.rows:
+        if self.rows and walls:
+            x[self.box[self._walls]] = self.box_walls(modes, xs[self.top])
+        elif self.rows:
             x[self.box] = self.box_values(modes, xs[self.top])
         return x[:, 0]
 
-    def adjoint(self, f):
-        """x (n,) with Aᵀ x = f, as D A⁻¹ D⁻¹ f."""
-        return self.sym * self.solve(f / self.sym)
+    def adjoint(self, f, walls=False):
+        """x (n,) with Aᵀ x = f, as D A⁻¹ D⁻¹ f (``solve``'s ``walls``)."""
+        return self.sym * self.solve(f / self.sym, walls)
 
 
 # ---------------------------------------------------------------------------
@@ -1211,13 +1259,15 @@ def kernel_measure(domain: DiscreteDomain, pole) -> BoundaryMeasure:
 
 def _exit_row(domain: DiscreteDomain, mode, i, j):
     """Exit masses from interior node (i, j) under a closure: ``(graph,
-    ghost slots)``, row (i, j) of A⁻¹ [B X] by one ``adjoint`` solve.  On
-    ``halfplane`` domains the ghost-slot mass is redistributed through the
-    closed-form far field, and the slots keep what it does not place."""
+    ghost slots)``, row (i, j) of A⁻¹ [B X] by one ``adjoint`` solve, which
+    builds of the box only its walls: B vanishes on the box, and X reaches
+    it there alone.  On ``halfplane`` domains the ghost-slot mass is
+    redistributed through the closed-form far field, and the slots keep
+    what it does not place."""
     c = domain._strip_solver(mode)
     e = np.zeros(domain.n_interior)
     e[domain.index(i, j)] = 1.0
-    g = c.adjoint(e)
+    g = c.adjoint(e, walls=True)
     s, box = c.B.T @ g, c.X.T @ g
     oracle = domain.far_field_oracle()
     if oracle is not None:

@@ -580,6 +580,51 @@ def test_strip_band_matches_full_solve(name, request):
     assert np.abs(domain.hm_weights - w).max() <= 1e-14
 
 
+@pytest.mark.parametrize("cfg", [_flat_cfg(graph=LipschitzGraph.sawtooth(0.5, 2, 1.0)),
+                                 _STRIP_GRIDS["teeth_down"], _STRIP_GRIDS["halfplane"]],
+                         ids=["teeth_up", "teeth_down", "halfplane"])
+def test_band_does_not_depend_on_the_solve_chunk(cfg, monkeypatch):
+    # the strip is solved in chunks of right-hand sides, and the box levels
+    # come from one top-row array that the chunks fill: a chunk of 7 (101
+    # columns: 14 full chunks and one of 3) and one of 32 give the same
+    # band, bit for bit
+    from lipvar.domain_field import grid
+
+    bands = []
+    for chunk in (7, 32):
+        monkeypatch.setattr(grid, "_SOLVE_CHUNK", chunk)
+        bands.append(build_domain(cfg).kernel_table())
+    assert np.array_equal(*bands)
+
+
+@pytest.mark.parametrize("name", list(_STRIP_GRIDS))
+def test_exit_rows_build_only_the_box_walls(name):
+    # harmonic_measure and kernel_measure above the band read the adjoint
+    # solve through B, which vanishes on the box, and X, which reaches it
+    # only on its walls: the walls alone give the full adjoint's masses, to
+    # rounding of the row's total mass (a wall value is a sum of modes some
+    # 70 times larger than it, so a transform and a dot product part there)
+    from lipvar.domain_field.grid import _exit_row
+
+    domain = build_domain(_STRIP_GRIDS[name])
+    oracle = domain.far_field_oracle()
+    for mode in ("absorb", domain.kernel_mode):
+        c = domain._strip_solver(mode)
+        for point in (domain.config.pole, _box_point(domain)):
+            i, j = domain.snap_point(point)
+            e = np.zeros(domain.n_interior)
+            e[domain.index(i, j)] = 1.0
+            g = c.adjoint(e)
+            s, box = c.B.T @ g, c.X.T @ g
+            if oracle is not None:
+                s = s + oracle.T @ box
+                box = box * (1.0 - oracle.sum(axis=1))
+            got_s, got_box = _exit_row(domain, mode, i, j)
+            total = np.abs(s).sum() + np.abs(box).sum()
+            assert np.abs(got_s - s).max() <= 1e-15 * total
+            assert np.abs(got_box - box).max() <= 1e-15 * total
+
+
 # grids of the reflecting closure with no column step above one row
 _BAND_POWER_GRIDS = ["flat_small", "saw_small", "box0", "box1", "box2", "pole_above_band",
                      "lopsided", "teeth_down"]

@@ -92,8 +92,10 @@ def _nearest_brute(graph, x, y):
     return best
 
 
-@pytest.mark.parametrize("n_teeth", [1, 3])
+@pytest.mark.parametrize("n_teeth", [1, 3, 6])
 def test_nearest_point_matches_brute_force(n_teeth):
+    # six teeth give 14 segments, more than one block of ``nearest``, with
+    # a kink at the blocks' seam
     g = LipschitzGraph.sawtooth(0.5, n_teeth, 1.0)
     rng = np.random.default_rng(7)
     pts = np.column_stack([rng.uniform(-3, 3, 300), rng.uniform(-0.6, 3, 300)])
