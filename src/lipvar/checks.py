@@ -63,10 +63,10 @@ def k_semigroup_error(domain, y1, y2):
 
 def family_gap(domain, ys):
     """sup|k^power_y - k^martin_y| / sup|k^martin_y|, the worst over the grid
-    levels n nearest the heights ys (within the band).  The power family is
-    G^n formed as repeated products, not read from the band as
-    ``DiscreteDomain._integer_power`` does where the two coincide: the gap
-    measures the identity that read rests on.  Returns the gap per level."""
+    levels n nearest the heights ys (within the band).  G^n is formed here as
+    repeated products, and nowhere else: ``DiscreteDomain.row_power`` reads it
+    from the band, or refuses it, and the gap measures the identity that read
+    rests on, on any grid.  Returns the gap per level."""
     band = domain.kernel_table()
     levels = sorted({min(max(round(y / domain.h), 1), domain.band_rows) for y in ys})
     gaps = {}

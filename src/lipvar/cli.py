@@ -107,7 +107,10 @@ class RunConfig:
             u_arc=u_arc,
             segments=((seg.m, seg.M),),
             balls=balls,
-            z1=_numbers(raw, "z1", (0.0, 2.0), "two numbers", lambda v: len(v) == 2),
+            z1=_numbers(raw, "z1", (0.0, 2.0), "a point x, y of the grid, where u is read: "
+                        f"|x| <= {dom.box_halfwidth} and y <= {dom.box_height}",
+                        lambda v: (len(v) == 2 and abs(v[0]) <= dom.box_halfwidth
+                                   and v[1] <= dom.box_height)),
             # the adjoint sweep's rule: points in (0, 1]
             y_sequence=_numbers(raw, "y_sequence", None,
                                 "a non-empty list of numbers in (0, 1]",

@@ -188,8 +188,10 @@ class DiscreteDomain:
         self.band_rows = min(int(np.ceil(1.0 / h - 1e-9)) + 1 + step, head)
         self.field_rows = min(int(round(BAND_HEIGHT / h)), head)
         self.kernel_mode = "reflect" if config.far_field == "zero" else "absorb"
-        # Whether kernel band level n is G^n (``_integer_power``): under the
-        # reflecting closure, with no column step above one grid row.
+        # Whether kernel band level n is G^n, and so whether powers of G
+        # exist (``row_power``): under the reflecting closure, with no column
+        # step above one grid row.
+        self._step = step
         self._band_powers = self.kernel_mode == "reflect" and step <= 1
         # Top row of the boundary strip, the part of the grid each closure
         # factors: the lowest row above every graph node, so the strip holds
@@ -204,7 +206,6 @@ class DiscreteDomain:
         self._weights = None
         self._log = None
         self._fractions = {}
-        self._powers = {}
 
     # -- construction checks ---------------------------------------------------
 
@@ -634,67 +635,58 @@ class DiscreteDomain:
         return self._log
 
     def power_rows(self, y):
-        """G^(y/h) where G is the one-grid-step exit operator, cached by height.
+        """G^(y/h) where G is the one-grid-step exit operator, from
+        ``row_power``: the rows depend on y only through that split of y/h.
 
         Fractional powers are functions of G, so the family satisfies the
         composition semigroup exactly (to rounding); the whole omega
-        construction is built on it.  The power is ``row_power``'s,
-        G^n · expm(f log G), kept here under the height rounded to 12 digits
-        and computed from that key; on a grid level inside the kernel band it
-        is band level n itself (``_integer_power``), a view of the band.
-        Note fractional powers of a Markov matrix may carry small negative
-        lobes; positivity findings always refer to the assembled kernels, not
-        to these factors.
+        construction is built on it.  A grid level is a view of the kernel
+        band and a pure fraction the fraction table's own array, so the rows
+        are read, never written.  Note fractional powers of a Markov matrix
+        may carry small negative lobes; positivity findings always refer to
+        the assembled kernels, not to these factors.
         """
-        key = round(float(y), 12)
-        if key in self._powers:
-            return self._powers[key]
-        # from the key: a cached row is the same whichever y filled it
-        out = np.eye(self.nx) if key == 0.0 else self.row_power(None, key / self.h)
-        self._powers[key] = out
-        return out
+        return self.row_power(None, y / self.h)
 
     def row_power(self, v, s):
         """v · G^s for rows v, or G^s itself when v is None.
 
-        The one place where powers of G are formed; v is a row vector or a
-        stack of rows.  s = n + f, an s within 1e-9 of an integer counting as
-        that integer: G^n comes from ``_integer_power`` (a kernel band level,
-        or repeated products), and expm(f log G) from a per-domain table
-        keyed by f rounded to 12 digits, and built from that key.
+        The one place where powers of G exist; v is a row vector or a stack
+        of rows.  s = n + f, an s within 1e-9 of an integer counting as that
+        integer.  G^n is kernel band level n, a view of the band: under the
+        reflecting closure, semi-infinite above, the region above level
+        n - 1 is the region above the graph shifted up, as in the continuum,
+        and where no column step exceeds one grid row a 5-point walk changes
+        its level above the graph by at most one per move, so a walk from
+        level n passes level n - 1 before it exits.  expm(f log G) comes
+        from a per-domain table keyed by f rounded to 12 digits, and built
+        from that key.
+
+        Where band levels are not G^n there are no powers: s > 0 raises
+        ConfigError on a grid with a column step above one row or under the
+        absorbing closure of ``halfplane`` domains, and an n off the band
+        raises ResolutionError.
         """
         n = int(np.floor(s + 1e-9))
         f = round(s - n, 12)
+        if (n or f > 1e-9) and not self._band_powers:
+            cause = (f"a column step of {self._step} grid rows" if self.kernel_mode == "reflect"
+                     else "the absorbing kernel closure of halfplane domains")
+            raise ConfigError(f"no powers of G on this grid: under {cause}, band level n "
+                              "is not G^n (the omega and variation layers need column "
+                              "steps of at most one row)")
+        if not 0 <= n <= self.band_rows:
+            raise ResolutionError(f"power {s} of G outside the kernel band "
+                                  f"(levels 0..{self.band_rows})")
         if v is None:
-            out = self._integer_power(n) if n else None
+            out = self.kernel_table()[n] if n else None
         else:
-            out = v @ self._integer_power(n) if n else np.array(v, dtype=float)
+            out = v @ self.kernel_table()[n] if n else np.array(v, dtype=float)
         if f > 1e-9:
             if f not in self._fractions:
                 self._fractions[f] = np.real(sla.expm(f * self._log_generator()))
             out = self._fractions[f] if out is None else out @ self._fractions[f]
         return np.eye(self.nx) if out is None else out
-
-    def _integer_power(self, n):
-        """G^n.
-
-        Under the reflecting closure, semi-infinite above, the region above
-        level n - 1 is the region above the graph shifted up, as in the
-        continuum.  Where no column step exceeds one grid row, a 5-point walk
-        changes its level above the graph by at most one per move, so a walk
-        from level n passes level n - 1 before it exits, and kernel band
-        level n is G^n: for n <= ``band_rows`` it is returned as a view of
-        the band, never cached.  Elsewhere (steeper steps, the absorbing
-        closure, n above the band) G^n is a repeated product, kept in the
-        power cache under the height n*h.
-        """
-        if self._band_powers and n <= self.band_rows:
-            return self.kernel_table()[n]
-        key = round(n * self.h, 12)
-        out = self._powers.get(key)
-        if out is None:
-            out = self._powers[key] = np.linalg.matrix_power(self.kernel_table()[1], n)
-        return out
 
     # -- the kink-cell height rule ------------------------------------------------
 

@@ -38,8 +38,9 @@ Two realizations of the k-family coexist:
         6 x 12                      7.27e-6           7.27e-6
         6 x 24                      1.35e-8           1.35e-8
 
-    Where a column step exceeds one row, the band is not G^n, and the
-    families stay apart as h goes to 0.
+    Where a column step exceeds one row, or under the absorbing closure of
+    ``halfplane`` domains, the band is not G^n and there is no power family:
+    ``DiscreteDomain.row_power`` refuses every s > 0 with ConfigError.
 """
 
 from __future__ import annotations
@@ -164,12 +165,7 @@ def cell_kernels(domain: DiscreteDomain, u: HarmonicField, k: int, family: str):
     """b_y W at the four nodes of height cell k (``DiscreteDomain.cell_nodes``),
     in exit-mass form, stacked (4, nx, nx)."""
     ys = domain.cell_nodes(k)
-    if family == "power":
-        # row_power outside the power_rows cache: the nodes of every cell
-        # share eight entries of the fraction table
-        rows = np.stack([domain.row_power(None, y / domain.h) for y in ys])
-    else:
-        rows = np.stack([mass_rows(domain, y, family) for y in ys])
+    rows = np.stack([mass_rows(domain, y, family) for y in ys])
     return b_masses(domain, rows, np.stack([c_masses(domain, u, y) for y in ys]))
 
 

@@ -138,8 +138,8 @@ class OmegaWorkspace:
         return self._b[k]
 
     def omega_tilde_entries(self, seg: Segment, eps: float):
-        """Masses of k_{|seg|} - eps b_seg, in a fresh array (the cached
-        power rows are never written)."""
+        """Masses of k_{|seg|} - eps b_seg, in a fresh array (the power rows,
+        a band level or a fraction-table entry, are never written)."""
         k = self.k_rows(seg.length)
         if eps == 0.0:
             return k.copy()

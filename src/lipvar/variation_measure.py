@@ -248,6 +248,9 @@ def probe_ball(domain: DiscreteDomain, u: HarmonicField, ball: SurfaceBall,
             f"profile slope {L} too steep for the vertical probe direction"
         )
     z1 = (float(z1[0]), float(z1[1]))
+    W, H = domain.config.box_halfwidth, domain.config.box_height
+    if not (abs(z1[0]) <= W and z1[1] <= H):
+        raise ConfigError(f"z1 {z1} outside the grid: |x| <= {W} and y <= {H}")
     if z1[1] - float(domain.graph(np.array([z1[0]]))[0]) <= 1.0:
         raise ConfigError("z1 must sit more than one unit above the graph")
 

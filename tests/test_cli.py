@@ -120,6 +120,38 @@ def test_verify_omega_large_epsilon_fails(tmp_path):
     assert not by_name["positivity"]["passed"]
 
 
+# the sawtooth with teeth 1.0 high, slope 2: at h = 0.1 a column step of two
+# grid rows, where kernel band level n is not G^n and no power of G exists
+STEEP_DOMAIN = dict(CFG["domain"], support_radius=1.0,
+                    phi_breakpoints=[[-1.0, 0.0], [-0.5, 1.0], [0.0, 0.0],
+                                     [0.5, 1.0], [1.0, 0.0]])
+
+
+def test_verify_kernels_reports_the_steep_family_gap(tmp_path):
+    p = _write_cfg(tmp_path, domain=STEEP_DOMAIN)
+    assert main(["--config", p, "--out", str(tmp_path / "o"), "verify", "kernels"]) == 1
+    rep = json.loads(Path(tmp_path / "o", "verify_kernels.json").read_text())
+    gap = {c["name"]: c for c in rep["checks"]}["family_gap"]
+    assert not gap["passed"] and gap["margin"] > 1e-2
+
+
+def test_verify_omega_on_a_steep_graph_fails_with_the_column_step(tmp_path):
+    p = _write_cfg(tmp_path, domain=STEEP_DOMAIN)
+    assert main(["--config", p, "--out", str(tmp_path / "o"), "verify", "omega"]) == 1
+    records = json.loads(Path(tmp_path / "o", "verify_omega.json").read_text())["checks"]
+    assert records
+    for c in records:
+        assert not c["passed"] and "column step of 2 grid rows" in c["error"]
+
+
+@pytest.mark.parametrize("command", ["probe", "sweep-epsilon"])
+def test_steep_graph_exits_2_where_powers_are_needed(tmp_path, capsys, command):
+    p = _write_cfg(tmp_path, domain=STEEP_DOMAIN)
+    assert main(["--config", p, "--out", str(tmp_path / "o"), command]) == 2
+    assert "column step of 2 grid rows" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_probe_writes_reports(cfg_path, tmp_path, capsys):
     out = tmp_path / "p"
     assert main(["--config", cfg_path, "--out", str(out), "probe"]) == 0
@@ -259,6 +291,8 @@ def test_bad_ball_exits_2(tmp_path, capsys, ball):
     ("epsilon", "abc"),              # a ValueError
     ("epsilon", None),               # a TypeError
     ("epsilon", "0.05"),             # accepted as a number
+    ("z1", [0.0, 6.5]),              # above the grid: u read off its top rows
+    ("z1", [5.5, 2.0]),              # beside the grid
 ])
 def test_bad_run_value_exits_2(tmp_path, capsys, key, value):
     p = _write_cfg(tmp_path, **{key: value})

@@ -4,6 +4,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from lipvar import checks
+from lipvar import kernels as K
 from lipvar.domain_field import (
     DomainConfig,
     LipschitzGraph,
@@ -634,35 +636,44 @@ _BAND_POWER_GRIDS = ["flat_small", "saw_small", "box0", "box1", "box2", "pole_ab
 def test_integer_powers_are_band_levels(name, request):
     # semi-infinite above, the region over level n - 1 is the region over the
     # graph shifted up, and a walk from level n must pass level n - 1: band
-    # level n is G^n, returned as a view of the band and never cached
+    # level n is G^n, and row_power returns it as a view of the band
     domain = _strip_grid(name, request)
     assert domain._band_powers
     band = domain.kernel_table()
-    cached = set(domain._powers)
     for n in range(1, domain.band_rows + 1):
         ref = np.linalg.matrix_power(band[1], n)
-        got = domain._integer_power(n)
+        got = domain.row_power(None, n)
         assert np.shares_memory(got, band)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert set(domain._powers) == cached
+    # above the band there is no G^n to read
+    with pytest.raises(ResolutionError):
+        domain.row_power(None, domain.band_rows + 1)
 
 
-@pytest.mark.parametrize("name", ["saw_steep", "halfplane"])
-def test_integer_powers_fall_back_to_products(name, request):
+@pytest.mark.parametrize("name, cause", [("saw_steep", "column step of 2 grid rows"),
+                                         ("halfplane", "absorbing kernel closure")],
+                         ids=["saw_steep", "halfplane"])
+def test_no_powers_where_band_levels_are_not_powers(name, cause, request):
     # a column step of two rows (saw_steep) lets a walk skip a level, and the
-    # absorbing closure of halfplane domains is not shift-invariant: the band
-    # levels are not G^n, and G^n is the cached repeated product
+    # absorbing closure of halfplane domains is not shift-invariant: band
+    # level n is not G^n, so no power of G exists there, while the band's
+    # own rows still serve the same heights
     domain = _strip_grid(name, request)
     assert not domain._band_powers
-    band = domain.kernel_table()
-    for n in range(2, domain.band_rows + 1):
-        ref = np.linalg.matrix_power(band[1], n)
-        got = domain._integer_power(n)
-        assert not np.shares_memory(got, band)
-        assert domain._powers[round(n * domain.h, 12)] is got
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-    n = domain.band_rows
-    assert np.abs(band[n] - domain._integer_power(n)).max() > 1e-2
+    for s in (0.5, 1.0, 2.0):
+        y = s * domain.h
+        with pytest.raises(ConfigError, match=cause):
+            domain.row_power(None, s)
+        with pytest.raises(ConfigError, match=cause):
+            domain.power_rows(y)
+        with pytest.raises(ConfigError, match=cause):
+            K.build_k(domain, y, "power")
+        assert np.isfinite(domain.mass_rows(y)).all()
+    # the stencil's lowest level reaches one column step below its height
+    for y in (2 * domain.h, 2.5 * domain.h):
+        assert all(np.isfinite(d).all() for d in domain.stencil_rows(y))
+    gaps = checks.family_gap(domain, [domain.band_rows * domain.h])
+    assert min(gaps.values()) > 1e-2
 
 
 def test_kernel_closure_does_not_depend_on_box_height():

@@ -341,7 +341,7 @@ def test_b_segment_split_additive_off_lattice(grid, lattice_seg, request):
 
 
 @pytest.mark.parametrize("grid, lattice_seg", POWER_GRIDS, ids=["eigen", "log"])
-def test_cell_powers_bypass_power_rows(grid, lattice_seg, request, monkeypatch):
+def test_cell_kernels_stack_power_rows(grid, lattice_seg, request):
     domain, u = request.getfixturevalue(grid)
     half = domain.h / 2
     for k in range(int(round(lattice_seg[0] / half)), int(round(lattice_seg[1] / half))):
@@ -349,12 +349,6 @@ def test_cell_powers_bypass_power_rows(grid, lattice_seg, request, monkeypatch):
         ref = K.b_masses(domain, np.stack([domain.power_rows(y) for y in ys]),
                          np.stack([K.c_masses(domain, u, y) for y in ys]))
         assert _rel_sup(K.cell_kernels(domain, u, k, "power"), ref) <= 1e-12
-
-    def no_power_rows(self, y):
-        raise AssertionError(f"power_rows({y}) called")
-
-    monkeypatch.setattr(type(domain), "power_rows", no_power_rows)
-    K.build_b_segment(domain, u, (0.33, 0.41), family="power")
 
 
 # -- fractional powers through log G -------------------------------------------
@@ -449,8 +443,8 @@ def test_log_path_rejects_an_inaccurate_logarithm(saw_tall, monkeypatch):
     (LipschitzGraph.sawtooth(1.1, 2, 2.2), (0.0, 2.1)),
 ], ids=["flat", "saw"])
 def test_power_rows_do_not_depend_on_call_history(graph, pole):
-    # 0.45 - 0.3 shares the cache key 0.15 but not its last bit: the rows
-    # come from the key, so either height on a fresh domain gives the same
+    # 0.45 - 0.3 is 0.15 but for its last bit: the rows come from the split
+    # of y/h and its 12-digit fraction key, so either height gives the same
     rows = []
     for y in (0.15, 0.45 - 0.3):
         domain = build_domain(DomainConfig(graph, 5.0, 5.0, 0.1, pole))

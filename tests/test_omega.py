@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from lipvar import checks, omega
@@ -34,6 +35,7 @@ from lipvar.omega import (
     phi_property_check,
     pi_product,
 )
+from lipvar.variation_measure import vertical_variation
 
 EPS = 0.05
 # the ids `eigen` (flat) and `log` (sawtooth) name each grid after the power
@@ -531,6 +533,24 @@ def test_adjoint_sweep_off_kink_converges(grid, request):
     assert halved_steps == 2 * steps
     for gamma, ref in zip(gammas, halved):
         assert _rel_sup(gamma, ref) <= 1e-8
+
+
+def test_power_rows_are_never_written(flat_small):
+    # a power row is a view of the kernel band or a fraction table's own
+    # array: the constructions that read them leave both bitwise as built
+    domain, u = flat_small
+    band = domain.kernel_table().copy()
+    kappa = kernel_measure(domain, (0.0, 1.0)).s_masses
+    omega_limit(domain, u, Segment(0.2, 0.4), EPS)
+    omega_limit(domain, u, Segment(0.2, 0.4), 0.0)
+    adjoint_sweep(domain, u, EPS, kappa, [0.55, 0.25])
+    adjoint_sweep(domain, u, EPS, np.eye(domain.nx)[::10], [0.55, 0.25])
+    vertical_variation(domain, u)
+    assert np.array_equal(domain.kernel_table(), band)
+    assert domain._fractions
+    log = domain._log_generator()
+    for f, table in domain._fractions.items():
+        assert np.array_equal(table, np.real(sla.expm(f * log)))
 
 
 def test_adjoint_sweep_rejects_heights_off_the_range(flat_small):

@@ -295,6 +295,14 @@ def test_probe_rejects_low_z1(flat_small):
                    eps=EPS)
 
 
+@pytest.mark.parametrize("z1", [(0.0, 5.5), (5.5, 2.0), (-5.5, 2.0)])
+def test_probe_rejects_z1_outside_the_grid(flat_small, z1):
+    # u.at clipped the cell index and extrapolated off the top rows
+    domain, u = flat_small
+    with pytest.raises(ConfigError, match="outside the grid"):
+        probe_ball(domain, u, SurfaceBall((0.0, 0.0), 0.5), z1=z1, eps=EPS)
+
+
 def test_probe_sawtooth_pipeline(saw_small):
     domain, u = saw_small
     res = probe_ball(domain, u, SurfaceBall((0.0, 0.0), 0.5), eps=EPS)
