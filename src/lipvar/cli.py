@@ -165,7 +165,7 @@ def _numbers(raw: dict, key: str, default, what: str, valid) -> tuple | None:
 
 
 def _cache_dir(out: Path, cfg: RunConfig) -> tuple:
-    h = reports.content_hash(cfg.domain.to_dict())
+    h = reports.content_hash({"domain": cfg.domain.to_dict(), "u_arc": list(cfg.u_arc)})
     return out / "cache" / h, h
 
 
@@ -224,6 +224,7 @@ def cmd_solve(cfg: RunConfig, out: Path, use_cache: bool = True) -> int:
     reports.write_json(manifest, {
         "hash": h,
         "domain": cfg.domain.to_dict(),
+        "u_arc": list(cfg.u_arc),
         "box_mass": {"sides": m.box_side_mass, "top": m.box_top_mass},
     })
     print(f"solved: artifacts in {cache}")

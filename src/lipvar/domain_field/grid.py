@@ -1124,11 +1124,14 @@ class HarmonicField:
         return self.domain._band_at(self.band(), y)
 
     def at(self, point):
-        """Bilinear field value at an arbitrary point of the closed domain."""
+        """Bilinear field value at a point of the closed domain; a point off
+        the grid's rectangle, [-W, W] x [j0 h, box_height], is a ConfigError."""
         d = self.domain
         x, y = point
         fi = (x + d.config.box_halfwidth) / d.h
         fj = y / d.h - d.j0
+        if not (-1e-9 <= fi <= d.nx - 1 + 1e-9 and -1e-9 <= fj <= d.ny - 1 + 1e-9):
+            raise ConfigError(f"point {(x, y)} outside the grid")
         i0 = int(np.clip(np.floor(fi), 0, d.nx - 2))
         j0 = int(np.clip(np.floor(fj), 0, d.ny - 2))
         tx, ty = fi - i0, fj - j0

@@ -75,8 +75,10 @@ class BoundaryKernel:
 def _mass_to_kernel(domain, rows):
     """Densities against the pole measure of exit-mass rows (last axis).
 
-    The only place masses become densities: it divides by ``safe_weights``
-    and zeroes the columns of the excluded nodes.
+    The only place masses become densities, and the only reader of the
+    excluded nodes: it divides by ``safe_weights`` and zeroes their columns.
+    Mass products exclude nothing, since they occur only where powers of G
+    exist (``DiscreteDomain.row_power``), and no node is excluded there.
     """
     k = rows / domain.safe_weights
     k[..., domain.excluded_nodes] = 0.0
@@ -148,25 +150,12 @@ def build_b(domain: DiscreteDomain, u: HarmonicField, y: float,
     return b
 
 
-def b_masses(domain: DiscreteDomain, k_rows, c):
-    """b_y W = (k_y W)(c_y W) from the exit-mass rows of k_y and of c_y
-    (``c_masses``), single or stacked.
-
-    c is zeroed in place on the excluded rows, which stand for k_y's zero
-    columns, and on the excluded columns, c_y's own.
-    """
-    excl = domain.excluded_nodes
-    c[..., excl, :] = 0.0
-    c[..., excl] = 0.0
-    return k_rows @ c
-
-
 def cell_kernels(domain: DiscreteDomain, u: HarmonicField, k: int, family: str):
-    """b_y W at the four nodes of height cell k (``DiscreteDomain.cell_nodes``),
-    in exit-mass form, stacked (4, nx, nx)."""
+    """b_y W = (k_y W)(c_y W) at the four nodes of height cell k
+    (``DiscreteDomain.cell_nodes``), in exit-mass form, stacked (4, nx, nx)."""
     ys = domain.cell_nodes(k)
     rows = np.stack([mass_rows(domain, y, family) for y in ys])
-    return b_masses(domain, rows, np.stack([c_masses(domain, u, y) for y in ys]))
+    return rows @ np.stack([c_masses(domain, u, y) for y in ys])
 
 
 def cell_sum(rule, cells):

@@ -106,10 +106,8 @@ class OmegaWorkspace:
     is built once and serves every segment that touches it.
 
     The factors and their products stay in exit-mass form, where composition
-    is a plain matrix product: a factor is the masses of k_{|seg|} - eps b_seg,
-    and each product zeroes the excluded rows of the running product first,
-    which drops the factor's excluded columns as the densities' zero columns
-    would.  A partition's product turns into densities once, at its end.
+    is a plain matrix product: a factor is the masses of k_{|seg|} - eps b_seg.
+    A partition's product turns into densities once, at its end.
 
     The workspace lives in ``u``'s own cache and holds ``u`` weakly, so a
     dropped ``u`` frees its workspace at once, without the cyclic collector.
@@ -150,14 +148,10 @@ class OmegaWorkspace:
 
     def pi_entries(self, partition: Partition, eps: float):
         """Densities of the partition's product of factors."""
-        excl = self.domain.excluded_nodes
-        out = None
-        for seg in partition.segments:  # increasing order; first factor acts first
-            f = self.omega_tilde_entries(seg, eps)
-            if out is not None:
-                out[excl, :] = 0.0
-                f = f @ out
-            out = f
+        segs = partition.segments  # increasing order; the first factor acts first
+        out = self.omega_tilde_entries(segs[0], eps)
+        for seg in segs[1:]:
+            out = self.omega_tilde_entries(seg, eps) @ out
         return K._mass_to_kernel(self.domain, out)
 
     def omega_entries(self, seg: Segment, eps: float, tol: float = OMEGA_TOL):
@@ -324,8 +318,8 @@ def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
 
     The masses rho_y = kappa^T (Omega_[y,1] W) of the transformed measure
     solve rho' = -rho A(y) down from rho_1 = kappa, where in mass form
-    A(y) = log(G)/h - eps b_y W and b_y W = G^(y/h) c_y, with c_y's dead
-    rows and excluded rows and columns zeroed as in ``kernels.b_masses``.
+    A(y) = log(G)/h - eps b_y W and b_y W = G^(y/h) c_y W, whose dead rows
+    (vanishing gradient of u) are zero.
     The k-part is taken exactly, as rho G^theta (``row_power``); the eps-part
     by Lawson's fourth-order Runge-Kutta, an exponential integrator, with one
     step per h/2 cell and two below 4h, cut at every point of ys.
@@ -333,8 +327,8 @@ def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
     At eps = 0 there is no eps-part, and a step is the k-part alone.
     The eps-part of a row reads c_y through the matrix-free
     ``DiscreteDomain.stencil_vecmat``, O(nx^2) per stage from a few band
-    levels; a stack of nx rows forms the coupling -eps b_y W once per height
-    (``kernels.b_masses``), and each of its stages is then one product.
+    levels; a stack of nx rows forms the coupling -eps b_y W once per height,
+    and each of its stages is then one product.
 
     Returns (gammas, steps): gammas[i] is the density at ys[i] against the
     pole measure (``kernels._mass_to_kernel`` of rho).
@@ -345,7 +339,6 @@ def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
     if max(ys) > 1.0 + 1e-12:
         raise ConfigError("sweep heights must lie in (0, 1]")
     half = domain.h / 2
-    excl = domain.excluded_nodes
     stack = np.ndim(kappa_masses) > 1
 
     def coupling(t):
@@ -354,22 +347,18 @@ def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
         matrix, formed once for every stage at that height."""
         y = t * half
         if stack:
-            m = K.b_masses(domain, domain.row_power(None, t / 2), K.c_masses(domain, u, y))
+            m = domain.row_power(None, t / 2) @ K.c_masses(domain, u, y)
             m *= -eps
             return lambda v: v @ m
         sx, sy, _ = u.sigma_rows(2 * y)  # zero on dead rows
 
         def n(v):
             q = domain.row_power(v, t / 2)
-            q[..., excl] = 0.0
-            out = domain.stencil_vecmat(y, q * sx, q * sy)
-            out[..., excl] = 0.0
-            return -eps * out
+            return -eps * domain.stencil_vecmat(y, q * sx, q * sy)
         return n
 
     cuts, seq = _sweep_cuts(domain, ys, substeps)
     r = np.array(kappa_masses, dtype=float)
-    r[..., excl] = 0.0
     rho = {cuts[0]: r} if cuts[0] in seq else {}  # kept at the points of ys only
     n_top = coupling(cuts[0]) if eps else None
     for ta, tb in zip(cuts[:-1], cuts[1:]):
@@ -472,14 +461,12 @@ def phi_property_check(domain: DiscreteDomain, u: HarmonicField, psi, seg: Segme
     om, _, _ = ws.omega_entries(seg, eps)
     w = domain.hm_weights
     img = om @ (w * psi)
-    keep = np.ones(domain.nx, dtype=bool)
-    keep[domain.excluded_nodes] = False
-    dev = np.abs(img - psi)[keep]
-    ratio = float((dev / ((seg.length / y) * psi[keep])).max())
+    dev = np.abs(img - psi)
+    ratio = float((dev / ((seg.length / y) * psi)).max())
 
     kimg = ws.k_rows(seg.length) @ psi
-    sup_all = float(np.abs(img - psi)[keep].max())
-    sup_k = float(np.abs(kimg - psi)[keep].max())
+    sup_all = float(dev.max())
+    sup_k = float(np.abs(kimg - psi).max())
     c2 = (sup_all - sup_k) / ((seg.length / seg.m) * float(np.abs(psi).max()))
     return {"ratio": ratio, "sup_deviation": sup_all, "sup_k_deviation": sup_k,
             "sup_variant_constant": c2, "segment": (seg.m, seg.M), "y": y,
@@ -503,8 +490,6 @@ def ode_check(ladder: OmegaLadder, u: HarmonicField, phi: HarmonicField,
     if np.abs(steps - steps[0]).max() > 1e-9:
         raise ConfigError("y-grid must be uniformly spaced")
     domain, eps = ladder.domain, ladder.eps
-    keep = np.ones(domain.nx, dtype=bool)
-    keep[domain.excluded_nodes] = False
 
     f = {}
     rhs = {}
@@ -514,10 +499,10 @@ def ode_check(ladder: OmegaLadder, u: HarmonicField, phi: HarmonicField,
         rhs[y] = (eps * ladder.apply(y, K.apply_b(domain, u, y, phi_y, "power"))
                   if eps else np.zeros(domain.nx))
     abs_res = 0.0
-    rhs_sup = max(float(np.abs(rhs[y])[keep].max()) for y in ys)
+    rhs_sup = max(float(np.abs(rhs[y]).max()) for y in ys)
     for lo, mid, hi in zip(ys[:-2], ys[1:-1], ys[2:]):
         lhs = (f[hi] - f[lo]) / (hi - lo)
-        abs_res = max(abs_res, float(np.abs(lhs - rhs[mid])[keep].max()))
+        abs_res = max(abs_res, float(np.abs(lhs - rhs[mid]).max()))
     rel_res = abs_res / max(rhs_sup, 1e-300)
 
     # comparison bound at a few (eta, y) pairs
@@ -528,7 +513,7 @@ def ode_check(ladder: OmegaLadder, u: HarmonicField, phi: HarmonicField,
             phi_y = phi.rows(y)
             upper = ladder.apply(eta, phi_y)
             lower = ladder.apply(y, phi_y)
-            ok = keep & (lower > 1e-12 * np.abs(lower).max())
+            ok = lower > 1e-12 * np.abs(lower).max()
             comp_c = max(comp_c, float((upper[ok] / lower[ok]).max()) - 1.0)
 
     return {"eps": eps, "abs_residual": abs_res, "rel_residual": rel_res,

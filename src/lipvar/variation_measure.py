@@ -22,7 +22,6 @@ from .domain_field.grid import BoundaryMeasure, DiscreteDomain, HarmonicField, k
 from .errors import ConfigError, ResolutionError
 from .omega import adjoint_sweep
 
-MAX_PROBE_SLOPE = 5.0  # vertical probe direction guard for steep profiles
 N_ALPHA = 10           # nu_limit's bump test functions, centred on [-2, 2]
 SIGMA_HEIGHT = 0.5     # height at which nu_limit reads the bumps' extensions
 
@@ -242,11 +241,6 @@ def probe_ball(domain: DiscreteDomain, u: HarmonicField, ball: SurfaceBall,
     and eps) may be passed in, so that the balls of one probe configuration
     share them; without ``nu`` it follows the default y-sequence.
     """
-    L = domain.graph.lipschitz_constant
-    if L > MAX_PROBE_SLOPE:
-        raise ConfigError(
-            f"profile slope {L} too steep for the vertical probe direction"
-        )
     z1 = (float(z1[0]), float(z1[1]))
     W, H = domain.config.box_halfwidth, domain.config.box_height
     if not (abs(z1[0]) <= W and z1[1] <= H):

@@ -56,6 +56,17 @@ def test_solve_no_cache_recomputes(cfg_path, tmp_path, capsys):
     assert "solved" in capsys.readouterr().out
 
 
+def test_solve_cache_is_keyed_by_u_arc(tmp_path, capsys):
+    # a cache keyed by the domain alone served the first arc's u to the second
+    out = str(tmp_path / "out")
+    for arc in ([-1.0, 1.0], [0.0, 2.0]):
+        assert main(["--config", _write_cfg(tmp_path, u_arc=arc), "--out", out, "solve"]) == 0
+        assert "solved" in capsys.readouterr().out
+    caches = list((tmp_path / "out" / "cache").iterdir())
+    assert len(caches) == 2
+    assert len({(c / "u_boundary_band.csv").read_text() for c in caches}) == 2
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"domain": [,]}')

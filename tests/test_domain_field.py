@@ -164,6 +164,15 @@ def test_extension_indicator_spot_oracle(oracle_flat):
     assert abs(u.at((0.0, 1.0)) - 0.5) < 1e-3
 
 
+@pytest.mark.parametrize("point", [(0.0, 5.3), (5.4, 1.0), (-5.4, 1.0), (0.0, -0.2)])
+def test_field_at_rejects_points_off_the_grid(flat_small, point):
+    # the bilinear read once clipped its cell index and extrapolated
+    domain, u = flat_small
+    with pytest.raises(ConfigError, match=r"point \(.*\) outside the grid"):
+        u.at(point)
+    assert np.isfinite(u.at((5.0, 5.0))) and np.isfinite(u.at((-5.0, 0.0)))
+
+
 def test_extension_max_principle(saw_small):
     domain, u = saw_small
     assert u.values.min() >= -1e-12
@@ -674,6 +683,23 @@ def test_no_powers_where_band_levels_are_not_powers(name, cause, request):
         assert all(np.isfinite(d).all() for d in domain.stencil_rows(y))
     gaps = checks.family_gap(domain, [domain.band_rows * domain.h])
     assert min(gaps.values()) > 1e-2
+
+
+# a slope-1 extreme: one tooth of amplitude 4 pointing down in a 16 x 7 box,
+# whose smallest pole mass is 1.3e-4 of the total
+_DEEP_TOOTH = DomainConfig(LipschitzGraph.sawtooth(4.0, 1, 4.0, 1), 16.0, 7.0, 0.1,
+                           (0.0, 1.0))
+
+
+@pytest.mark.parametrize("name", [*_BAND_POWER_GRIDS, "kernel_flat", "readme_saw",
+                                  "saw_tall_u", "deep_tooth"])
+def test_no_excluded_nodes_where_powers_exist(name, request):
+    # the omega and variation layers run only where powers of G exist, and
+    # multiply exit masses with no exclusion: no node of negligible pole
+    # mass may occur there
+    domain = build_domain(_DEEP_TOOTH) if name == "deep_tooth" else _strip_grid(name, request)
+    assert domain._band_powers
+    assert not len(domain.excluded_nodes)
 
 
 def test_kernel_closure_does_not_depend_on_box_height():
