@@ -26,6 +26,7 @@ from .errors import LipvarError
 from .omega import (
     OmegaLadder,
     Segment,
+    _workspace,
     adjoint_sweep,
     cross_boundary_data,
     dyadic_partition,
@@ -314,9 +315,12 @@ def _omega(cfg, domain, u, rng):
         return -min(low, 0), low >= 0, {"segment": [pos.m, pos.M]}
 
     def b_additivity():
-        b_whole = K.build_b_segment(domain, u, seg, family="power").entries
-        b_split = (K.build_b_segment(domain, u, Segment(seg.m, mid), family="power").entries
-                   + K.build_b_segment(domain, u, Segment(mid, seg.M), family="power").entries)
+        # b through the omega workspace, whose cells the dyadic limits built
+        def b(s):
+            return K._mass_to_kernel(domain, _workspace(domain, u).b_entries(s))
+
+        b_whole = b(seg)
+        b_split = b(Segment(seg.m, mid)) + b(Segment(mid, seg.M))
         return _at_most(np.abs(b_whole - b_split).max()
                         / max(np.abs(b_whole).max(), 1e-300), 1e-3)
 

@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, reports
-from .domain_field import halfplane
 from .domain_field.grid import (
     DomainConfig,
     arc_indicator,
@@ -210,12 +209,6 @@ def cmd_solve(cfg: RunConfig, out: Path, use_cache: bool = True) -> int:
     rows = [[y, g.at((px, py + y))] for y in heights if py + y < cfg.domain.box_height]
     reports.write_csv(cache / "green_samples.csv", ["dy", "g"], rows)
 
-    if not cfg.domain.graph.breakpoints:
-        dens = halfplane.poisson_density(cfg.domain.pole, domain.xs) * domain.arc_weights
-        reports.write_node_table(cache / "halfplane_oracle.csv", domain,
-                                 {"solver_mass": domain.hm_weights,
-                                  "halfplane_mass": dens,
-                                  "abs_error": np.abs(domain.hm_weights - dens)})
     y_ref = max(0.2, 4 * domain.h)
     kref = K.build_k(domain, y_ref)
     reports.write_kernel_binary(cache / "k_reference.lvkb", kref)

@@ -15,7 +15,6 @@ from .grid import (
     kernel_measure,
 )
 from .wos import wos_harmonic_measure
-from . import halfplane
 
 __all__ = [
     "LipschitzGraph",
@@ -31,5 +30,4 @@ __all__ = [
     "greens_function",
     "gradient",
     "wos_harmonic_measure",
-    "halfplane",
 ]

@@ -19,9 +19,6 @@ The artificial sides and top admit two closures:
     Zero Dirichlet data one ghost step beyond sides and top.  The mass
     captured there is tracked and reported separately; this closure backs
     the diagnostic harmonic measure and the Green's function.
-
-A third, flat-only closure (``halfplane``) imposes exact half-plane values
-on the ghost slots and is used by the closed-form oracle tests.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 
 from ..errors import ConfigError, ConvergenceError, ResolutionError
-from . import halfplane
 from .geometry import LipschitzGraph
 
 NEGLIGIBLE_MASS = 1e-12  # nodes below this fraction of total weight are excluded
@@ -61,7 +57,6 @@ class DomainConfig:
     grid_spacing: float
     pole: tuple = (0.0, 1.0)
     wos_seed: int = 0
-    far_field: str = "zero"     # "zero" | "halfplane"
     graph_offset: float = 0.0   # vertical shift of the boundary (enlarged domains)
 
     @classmethod
@@ -112,7 +107,6 @@ class DomainConfig:
             grid_spacing=h,
             pole=pair("pole", d.get("pole", (0.0, 1.0))),
             wos_seed=count("wos_seed", d.get("wos_seed", 0)),
-            far_field=str(d.get("far_field", "zero")),
             graph_offset=number("graph_offset", d.get("graph_offset", 0.0)),
         )
 
@@ -125,7 +119,6 @@ class DomainConfig:
             "grid_spacing": self.grid_spacing,
             "pole": list(self.pole),
             "wos_seed": self.wos_seed,
-            "far_field": self.far_field,
             "graph_offset": self.graph_offset,
         }
 
@@ -187,12 +180,10 @@ class DiscreteDomain:
         step = int(max(np.abs(self._dj_e).max(), np.abs(self._dj_w).max()))
         self.band_rows = min(int(np.ceil(1.0 / h - 1e-9)) + 1 + step, head)
         self.field_rows = min(int(round(BAND_HEIGHT / h)), head)
-        self.kernel_mode = "reflect" if config.far_field == "zero" else "absorb"
         # Whether kernel band level n is G^n, and so whether powers of G
-        # exist (``row_power``): under the reflecting closure, with no column
-        # step above one grid row.
+        # exist (``row_power``): with no column step above one grid row.
         self._step = step
-        self._band_powers = self.kernel_mode == "reflect" and step <= 1
+        self._band_powers = step <= 1
         # Top row of the boundary strip, the part of the grid each closure
         # factors: the lowest row above every graph node, so the strip holds
         # every graph coupling and nothing more.  The box above it (no rows
@@ -232,10 +223,6 @@ class DiscreteDomain:
             raise ConfigError("pole must sit at vertical distance >= 1 above the graph")
         if abs(cfg.graph_offset / h - round(cfg.graph_offset / h)) > 1e-9:
             raise ConfigError("graph_offset must be a multiple of the grid spacing")
-        if cfg.far_field == "halfplane" and self.graph.breakpoints:
-            raise ConfigError("halfplane far field requires the flat profile")
-        if cfg.far_field not in ("zero", "halfplane"):
-            raise ConfigError(f"unknown far_field {cfg.far_field!r}")
 
     def _nodes(self, length):
         """Grid nodes on a span of the given length, ends included; a count
@@ -284,7 +271,8 @@ class DiscreteDomain:
     # -- assembly and solves -----------------------------------------------------
 
     def _assemble(self, mode, nodes=None):
-        """5-point system A u = B s_data (+ X box_data for absorbing modes).
+        """5-point system A u = B s_data, with X the coupling to the ghost
+        slots of the absorbing closure, whose exit masses it gives.
 
         Under ``reflect`` the top row's coupling to the semi-infinite region
         above the grid is dense, N = Q diag(s*) Q⁻¹, and is not assembled
@@ -340,39 +328,19 @@ class DiscreteDomain:
             self._strips[mode] = _StripSolver(self, mode)
         return self._strips[mode]
 
-    def box_slot_points(self):
-        """Physical coordinates of the ghost slots (left, right, top)."""
-        W, h = self.config.box_halfwidth, self.h
-        ys = (self.j0 + np.arange(self.ny)) * h
-        left = np.column_stack([np.full(self.ny, -W - h), ys])
-        right = np.column_stack([np.full(self.ny, W + h), ys])
-        top = np.column_stack([self.xs, np.full(self.nx, self.config.box_height + h)])
-        return np.vstack([left, right, top])
-
-    def solve_dirichlet(self, s_data, mode="reflect", box_data=None):
+    def solve_dirichlet(self, s_data, mode="reflect"):
         """Interior values for boundary data on the graph mesh."""
         c = self._strip_solver(mode)
-        rhs = c.B @ np.asarray(s_data, dtype=float)
-        if box_data is not None:
-            rhs = rhs + c.X @ np.asarray(box_data, dtype=float)
-        return c.solve(rhs)
+        return c.solve(c.B @ np.asarray(s_data, dtype=float))
 
     # -- kernel table --------------------------------------------------------------
-
-    def far_field_oracle(self):
-        """Closed-form half-plane masses of the ghost slots over the graph
-        cells, (2 ny + nx, nx), on ``halfplane`` domains; None otherwise."""
-        if self.config.far_field != "halfplane":
-            return None
-        edges = np.concatenate([self.xs - self.h / 2, [self.xs[-1] + self.h / 2]])
-        return halfplane.cell_masses(self.box_slot_points(), edges)
 
     def kernel_table(self):
         """Per-node exit masses at the band levels above each boundary node.
 
         Row band[m, i, :] is the discrete harmonic measure (masses over the
         graph mesh) seen from the point m*h above boundary node i, under the
-        domain's kernel closure, for m = 0..band_rows.  band[0] is the
+        reflecting kernel closure, for m = 0..band_rows.  band[0] is the
         identity: the measure from a boundary node is the point mass at that
         node.
 
@@ -387,21 +355,16 @@ class DiscreteDomain:
         columns, nx) array and transformed once, in place, to the side
         modes along its base-column axis; box row r is one transform of
         lift_r ⊙ modes back along that axis, written as whole band rows
-        into every run that reaches it.  On ``halfplane`` domains the box
-        also carries the far-field oracle's wall data, whose part of the box
-        levels (``_StripSolver.box_block`` of its modes) is written per
-        chunk, and the rows add the top row's part.  The pole masses
-        (``hm_weights``) are the kernel measure at the pole: a band row, or
-        one ``adjoint`` solve.
+        into every run that reaches it.  The pole masses (``hm_weights``) are
+        the kernel measure at the pole: a band row, or one ``adjoint`` solve.
         """
         if self._kernel_band is not None:
             return self._kernel_band
         if not self.is_interior(*self.snap_point(self.config.pole)):
             raise ConfigError("pole snapped onto the boundary")
         nx, nb, jb, jt = self.nx, self.band_rows, self.jb, self.strip_top
-        c = self._strip_solver(self.kernel_mode)
-        B, X = c.B[c.strip], c.X[c.strip]  # B vanishes on the box
-        oracle = self.far_field_oracle()
+        c = self._strip_solver("reflect")
+        B = c.B[c.strip]  # B vanishes on the box
         rows = max(int(jb.max()) + nb - jt, 0)  # box rows the band reaches
         # per run [a, b) of graph row jw: its strip block starts at
         # local(a, jw + 1) and holds jt - jw levels per column, of which the
@@ -414,23 +377,13 @@ class DiscreteDomain:
         top = np.empty((nx, nx))  # top[i, j]: top-row value at column i, data at node j
         for lo in range(0, nx, _SOLVE_CHUNK):
             hi = min(lo + _SOLVE_CHUNK, nx)
-            rhs = B[:, lo:hi].toarray()
-            modes = wall = None
-            if oracle is not None:
-                rhs += X @ oracle[:, lo:hi]
-                # the box's bottom row also feeds the strip's top row
-                modes = c.box_modes(c.X[c.box] @ oracle[:, lo:hi])
-                if rows:  # the wall data's part of the box levels
-                    wall = c.box_block(modes, np.zeros((nx, hi - lo)), rows)
-            sol = c.solve_strip(rhs, modes)
+            sol = c.solve_strip(B[:, lo:hi].toarray())
             top[:, lo:hi] = sol[c.top]
             for a, b, start, depth, k in runs:
                 block = sol[start:start + (b - a) * depth].reshape(b - a, depth, -1)
                 band[1:k + 1, a:b, lo:hi] = block[:, :k].transpose(1, 0, 2)
-                if wall is not None and k < nb:
-                    band[k + 1:, a:b, lo:hi] = wall[:nb - k, :, a:b].transpose(0, 2, 1)
-            del sol, wall, block  # freed before the next chunk's solve
-        # the top row's part of the box levels, adding to the wall data's
+            del sol, block  # freed before the next chunk's solve
+        # the box levels, one box row at a time
         modes = c._trig(top, axis=0, overwrite_x=True)
         row = np.empty_like(top)
         for r in range(rows):
@@ -438,10 +391,7 @@ class DiscreteDomain:
             values = c._trig(row, axis=0, overwrite_x=True)
             for a, b, _, _, k in runs:
                 if r < nb - k:
-                    if oracle is None:
-                        band[k + 1 + r, a:b] = values[a:b]
-                    else:
-                        band[k + 1 + r, a:b] += values[a:b]
+                    band[k + 1 + r, a:b] = values[a:b]
         self._kernel_band = band
         self._weights = kernel_measure(self, self.config.pole).s_masses
         return band
@@ -654,7 +604,7 @@ class DiscreteDomain:
         The one place where powers of G exist; v is a row vector or a stack
         of rows.  s = n + f, an s within 1e-9 of an integer counting as that
         integer.  G^n is kernel band level n, a view of the band: under the
-        reflecting closure, semi-infinite above, the region above level
+        kernel closure, semi-infinite above, the region above level
         n - 1 is the region above the graph shifted up, as in the continuum,
         and where no column step exceeds one grid row a 5-point walk changes
         its level above the graph by at most one per move, so a walk from
@@ -663,16 +613,14 @@ class DiscreteDomain:
         from that key.
 
         Where band levels are not G^n there are no powers: s > 0 raises
-        ConfigError on a grid with a column step above one row or under the
-        absorbing closure of ``halfplane`` domains, and an n off the band
-        raises ResolutionError.
+        ConfigError on a grid with a column step above one row, and an n off
+        the band raises ResolutionError.
         """
         n = int(np.floor(s + 1e-9))
         f = round(s - n, 12)
         if (n or f > 1e-9) and not self._band_powers:
-            cause = (f"a column step of {self._step} grid rows" if self.kernel_mode == "reflect"
-                     else "the absorbing kernel closure of halfplane domains")
-            raise ConfigError(f"no powers of G on this grid: under {cause}, band level n "
+            raise ConfigError(f"no powers of G on this grid: under a column step of "
+                              f"{self._step} grid rows, band level n "
                               "is not G^n (the omega and variation layers need column "
                               "steps of at most one row)")
         if not 0 <= n <= self.band_rows:
@@ -856,7 +804,7 @@ class _StripSolver:
        x_C = A'_CC⁻¹ (f_C − A'_CT x_T);
     4. adds the wings' solve of their Γ data from x_T and x_C to step 2;
     5. rebuilds the box from the step-1 values plus the modal propagation
-       of the top row: all of it (``box_block``), only its walls
+       of the top row: all of it (``box_values``), only its walls
        (``box_walls``, for the exit rows), or, for the kernel band, only its
        bottom rows, one row at a time over all right-hand sides
        (``DiscreteDomain.kernel_table``).
@@ -1030,29 +978,22 @@ class _StripSolver:
                 lo = hi
         return x
 
-    def _box_modal(self, modes, v, rows):
-        """Modes (rows, m, nx) of the box's bottom ``rows`` rows, Q's
-        constants folded in: lift ⊙ Q⁻¹ vᵀ + the upward substitution of the
-        ``box_modes`` of a right-hand side (None: zero), for strip top-row
-        values v (nx, m)."""
-        x = self.lift[:rows, None] * self._trig(v.T)
+    def _box_modal(self, modes, v):
+        """Modes (rows, m, nx) of the box, Q's constants folded in:
+        lift ⊙ Q⁻¹ vᵀ + the upward substitution of the ``box_modes`` of a
+        right-hand side (None: zero), for strip top-row values v (nx, m)."""
+        x = self.lift[:, None] * self._trig(v.T)
         if modes is not None:
             y = 0.0  # substitute upwards
-            for r in range(rows):
+            for r in range(self.rows):
                 y = self.s[r] * (modes[r] + y)
                 x[r] += self._q * y
         return x
 
-    def box_block(self, modes, v, rows=None):
-        """Box values (rows, m, nx), the bottom ``rows`` rows only when
-        given: Q of ``_box_modal``, both transforms on the contiguous last
-        axis."""
-        rows = self.rows if rows is None else rows
-        return self._trig(self._box_modal(modes, v, rows), overwrite_x=True)
-
     def box_values(self, modes, v):
-        """``box_block`` in box order (box nodes, m): column-major."""
-        x = self.box_block(modes, v)
+        """Box values in box order (box nodes, m), column-major: Q of
+        ``_box_modal``, both transforms on the contiguous last axis."""
+        x = self._trig(self._box_modal(modes, v), overwrite_x=True)
         return x.transpose(2, 0, 1).reshape(-1, x.shape[1])
 
     def box_walls(self, modes, v):
@@ -1060,7 +1001,7 @@ class _StripSolver:
         row, the only box nodes X reaches), in box order: the side columns
         as each row's modes against Q's end rows, the top row by one
         transform."""
-        x = self._box_modal(modes, v, self.rows)
+        x = self._box_modal(modes, v)
         side = x @ self._ends
         return np.concatenate([side[:, :, 0], self._trig(x[-1])[:, 1:-1].T, side[:, :, 1]])
 
@@ -1222,9 +1163,7 @@ def harmonic_measure(domain: DiscreteDomain, pole) -> BoundaryMeasure:
     """Exit distribution from a pole under the absorbing (zero-data) closure.
 
     The masses over the graph mesh plus the reported side/top masses sum to
-    one; box mass is excluded from the arc masses.  On ``halfplane`` oracle
-    domains the ghost-slot mass is redistributed through the closed-form far
-    field instead of being absorbed.
+    one; box mass is excluded from the arc masses.
     """
     i, j = domain.snap_point(pole)
     if not domain.is_interior(i, j):
@@ -1236,12 +1175,10 @@ def harmonic_measure(domain: DiscreteDomain, pole) -> BoundaryMeasure:
 
 
 def kernel_measure(domain: DiscreteDomain, pole) -> BoundaryMeasure:
-    """Exit distribution from a pole under the kernel closure.
+    """Exit distribution from a pole under the reflecting kernel closure.
 
-    Within the kernel band it is a band row.  Above it, one ``adjoint``
-    solve of the same closure gives the row: the reflecting one, or on
-    ``halfplane`` domains the absorbing one with the far-field oracle on its
-    ghost slots.
+    Within the kernel band it is a band row; above it, one ``adjoint`` solve
+    of the same closure gives the row.
     """
     i, j = domain.snap_point(pole)
     if not domain.is_interior(i, j):
@@ -1249,26 +1186,19 @@ def kernel_measure(domain: DiscreteDomain, pole) -> BoundaryMeasure:
     joff = j - domain.jb[i]
     if joff <= domain.band_rows:
         return BoundaryMeasure(domain, domain.kernel_table()[joff, i, :].copy())
-    return BoundaryMeasure(domain, _exit_row(domain, domain.kernel_mode, i, j)[0])
+    return BoundaryMeasure(domain, _exit_row(domain, "reflect", i, j)[0])
 
 
 def _exit_row(domain: DiscreteDomain, mode, i, j):
     """Exit masses from interior node (i, j) under a closure: ``(graph,
     ghost slots)``, row (i, j) of A⁻¹ [B X] by one ``adjoint`` solve, which
     builds of the box only its walls: B vanishes on the box, and X reaches
-    it there alone.  On ``halfplane`` domains the ghost-slot mass is
-    redistributed through the closed-form far field, and the slots keep
-    what it does not place."""
+    it there alone."""
     c = domain._strip_solver(mode)
     e = np.zeros(domain.n_interior)
     e[domain.index(i, j)] = 1.0
     g = c.adjoint(e, walls=True)
-    s, box = c.B.T @ g, c.X.T @ g
-    oracle = domain.far_field_oracle()
-    if oracle is not None:
-        s = s + oracle.T @ box
-        box = box * (1.0 - oracle.sum(axis=1))
-    return s, box
+    return c.B.T @ g, c.X.T @ g
 
 
 def harmonic_extension(domain: DiscreteDomain, boundary_fn) -> HarmonicField:
@@ -1278,12 +1208,7 @@ def harmonic_extension(domain: DiscreteDomain, boundary_fn) -> HarmonicField:
         raise ConfigError(f"boundary data must have shape ({domain.nx},)")
     if not np.all(np.isfinite(data)):
         raise ConfigError("boundary data must be finite")
-    oracle = domain.far_field_oracle()
-    if oracle is not None:
-        values = domain.solve_dirichlet(data, mode="absorb", box_data=oracle @ data)
-    else:
-        values = domain.solve_dirichlet(data, mode="reflect")
-    return HarmonicField(domain, data, values)
+    return HarmonicField(domain, data, domain.solve_dirichlet(data))
 
 
 def arc_indicator(domain: DiscreteDomain, a: float, b: float):

@@ -38,9 +38,9 @@ Two realizations of the k-family coexist:
         6 x 12                      7.27e-6           7.27e-6
         6 x 24                      1.35e-8           1.35e-8
 
-    Where a column step exceeds one row, or under the absorbing closure of
-    ``halfplane`` domains, the band is not G^n and there is no power family:
-    ``DiscreteDomain.row_power`` refuses every s > 0 with ConfigError.
+    Where a column step exceeds one row, the band is not G^n and there is
+    no power family: ``DiscreteDomain.row_power`` refuses every s > 0 with
+    ConfigError.
 """
 
 from __future__ import annotations

@@ -127,7 +127,9 @@ class OmegaWorkspace:
         return K.mass_rows(self.domain, y, "power")
 
     def b_entries(self, seg: Segment):
-        """b_seg W, in a fresh array."""
+        """b_seg W, in a fresh array; a segment below the 2h floor raises."""
+        if seg.m < 2 * self.domain.h - 1e-12:
+            raise ResolutionError(f"segment lower endpoint {seg.m} below the 2h floor")
         return K.cell_sum(self.domain.height_rule(seg.m, seg.M), self._cell_kernels)
 
     def _cell_kernels(self, k: int):
@@ -334,6 +336,9 @@ def adjoint_sweep(domain: DiscreteDomain, u: HarmonicField, eps: float,
     pole measure (``kernels._mass_to_kernel`` of rho).
     """
     ys = [float(y) for y in ys]
+    if not ys:
+        raise ResolutionError(f"no sweep heights: none of the requested heights lies "
+                              f"above the 2h floor {2 * domain.h}")
     if min(ys) < 2 * domain.h - 1e-12:
         raise ResolutionError(f"sweep foot {min(ys)} below the 2h floor")
     if max(ys) > 1.0 + 1e-12:
@@ -432,8 +437,7 @@ def cross_boundary_data(domain: DiscreteDomain, y_shift: float, arc=(-1.0, 1.0))
     h = domain.h
     if abs(y_shift / h - round(y_shift / h)) > 1e-9:
         raise ConfigError("y_shift must be a multiple of the grid spacing")
-    cfg = replace(domain.config, graph_offset=domain.config.graph_offset - y_shift,
-                  far_field="zero")
+    cfg = replace(domain.config, graph_offset=domain.config.graph_offset - y_shift)
     enlarged = DiscreteDomain(cfg)
     from .domain_field.grid import arc_indicator  # local import to avoid cycle
 

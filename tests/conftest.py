@@ -9,8 +9,9 @@ from lipvar.domain_field import (
 )
 
 # Shared lazily built domains.  Unit tests run on coarse boxes; the
-# closed-form comparisons use the halfplane far-field closure where the
-# truncation bias is gone and only the discretization is under test.
+# closed-form comparisons run on kernel_flat against the half-strip, the
+# continuum of the kernel closure (tests/closed_forms.py), so only the
+# discretization is under test.
 
 
 def _domain_with_u(cfg, arc=(-1.0, 1.0)):
@@ -35,13 +36,6 @@ def saw_small():
 
 
 @pytest.fixture(scope="session")
-def oracle_flat():
-    cfg = DomainConfig(LipschitzGraph.flat(), box_halfwidth=8.0, box_height=8.0,
-                       grid_spacing=0.05, pole=(0.0, 1.0), far_field="halfplane")
-    return _domain_with_u(cfg)
-
-
-@pytest.fixture(scope="session")
 def kernel_flat():
     cfg = DomainConfig(LipschitzGraph.flat(), box_halfwidth=8.0, box_height=8.0,
                        grid_spacing=0.05, pole=(0.0, 1.0))
@@ -50,8 +44,9 @@ def kernel_flat():
 
 @pytest.fixture(scope="session")
 def saw_tall():
-    """A tall sawtooth at h = 0.1, whose eigenbasis is ill-conditioned
-    (kappa_2(V) ~ 8e7)."""
+    """A tall sawtooth (teeth 1.1 high, slope 1) at h = 0.1, the pole at
+    (0, 2.1): its one-step exit operator G has a badly conditioned
+    eigenbasis (kappa_2 ~ 8e7), where the powers through log G must hold."""
     graph = LipschitzGraph.sawtooth(1.1, 2, 2.2)
     return build_domain(DomainConfig(graph, 5.0, 5.0, 0.1, (0.0, 2.1)))
 

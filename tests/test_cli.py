@@ -45,7 +45,6 @@ def test_solve_then_cache_hit(cfg_path, tmp_path, capsys):
     assert "cache hit" in capsys.readouterr().out
     cache = next((tmp_path / "out" / "cache").iterdir())
     assert (cache / "hm_weights.csv").exists()
-    assert (cache / "halfplane_oracle.csv").exists()
 
 
 def test_solve_no_cache_recomputes(cfg_path, tmp_path, capsys):
@@ -312,6 +311,15 @@ def test_bad_run_value_exits_2(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
+def test_probe_on_a_grid_too_coarse_for_the_sweep_exits_2(cfg_path, tmp_path, capsys):
+    # at h = 0.25 no height of nu_limit's default y-sequence (0.4, 0.2, ...)
+    # clears the 2h floor; the sweep took min() of no heights, exit 1
+    argv = ["--config", cfg_path, "--out", str(tmp_path / "o"), "--grid-h", "0.25", "probe"]
+    assert main(argv) == 2
+    assert "2h floor" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("h", ["nan", "inf", "-0.1", "0", "1e-300"])
 def test_bad_grid_h_exits_2(cfg_path, tmp_path, capsys, h):
     # nan was blamed on u_arc, 1e-300 ended in a ValueError
@@ -329,6 +337,7 @@ def test_bad_grid_h_exits_2(cfg_path, tmp_path, capsys, h):
     ("wos_seed", -3),                # numpy's ValueError
     ("wos_seed", 2.5),               # truncated to 2
     ("wos_seed", True),              # accepted as 1
+    ("far_field", "halfplane"),      # a closure that no longer exists
 ])
 def test_bad_domain_value_exits_2(tmp_path, capsys, key, value):
     p = _write_cfg(tmp_path, domain=dict(CFG["domain"], **{key: value}))

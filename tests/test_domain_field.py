@@ -3,6 +3,12 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from closed_forms import (
+    halfstrip_arc_gradient,
+    halfstrip_arc_measure,
+    halfstrip_density,
+    rectangle_arc_measure,
+)
 
 from lipvar import checks
 from lipvar import kernels as K
@@ -13,7 +19,6 @@ from lipvar.domain_field import (
     build_domain,
     gradient,
     greens_function,
-    halfplane,
     harmonic_extension,
     harmonic_measure,
     kernel_measure,
@@ -72,10 +77,14 @@ def test_hm_weights_probability(flat_small):
     assert abs(w.sum() - 1.0) < 1e-6
 
 
-def test_hm_weights_match_halfplane_density(oracle_flat):
-    domain, _ = oracle_flat
+def test_hm_weights_match_halfstrip_density(kernel_flat):
+    # the pole masses against the half-strip density times each node's cell;
+    # the end nodes' cells end at the mirrored sides, h/2 wide
+    domain, _ = kernel_flat
     w = domain.hm_weights
-    oracle = halfplane.poisson_density((0.0, 1.0), domain.xs) * domain.h
+    cells = np.full(domain.nx, domain.h)
+    cells[[0, -1]] = domain.h / 2
+    oracle = halfstrip_density((0.0, 1.0), domain.xs, domain.config.box_halfwidth) * cells
     err = np.abs(w - oracle)
     assert err.max() <= 0.02 * oracle.max()
 
@@ -111,11 +120,15 @@ def test_measure_rejects_outside_pole(flat_small):
         harmonic_measure(domain, (0.0, -0.5))
 
 
-def test_measure_arc_oracle(oracle_flat):
-    domain, _ = oracle_flat
+def test_measure_arc_oracle(kernel_flat):
+    # the absorbing closure against its continuum: the Dirichlet rectangle
+    # whose walls and top sit on the ghost slots, one step beyond the box
+    domain, _ = kernel_flat
+    cfg = domain.config
     m = harmonic_measure(domain, (0.0, 1.0))
-    target = halfplane.arc_measure((0.0, 1.0), -1.0, 1.0)
-    assert target == pytest.approx(0.5)
+    target = rectangle_arc_measure((0.0, 1.0), -1.0, 1.0, cfg.box_halfwidth + domain.h,
+                                   cfg.box_height + domain.h)
+    assert target == pytest.approx(0.491557, abs=1e-6)
     assert abs(m.arc_mass(-1.0, 1.0) - target) < 1e-3
 
 
@@ -159,9 +172,12 @@ def test_extension_rejects_stacked_data(saw_small):
             harmonic_extension(domain, np.ones(shape))
 
 
-def test_extension_indicator_spot_oracle(oracle_flat):
-    domain, u = oracle_flat
-    assert abs(u.at((0.0, 1.0)) - 0.5) < 1e-3
+def test_extension_indicator_spot_oracle(kernel_flat):
+    # the half-strip's measure of [-1, 1] from (0, 1): 0.5 on the half-plane
+    domain, u = kernel_flat
+    target = halfstrip_arc_measure((0.0, 1.0), -1.0, 1.0, domain.config.box_halfwidth)
+    assert target == pytest.approx(0.508181, abs=1e-6)
+    assert abs(u.at((0.0, 1.0)) - target) < 1e-3
 
 
 @pytest.mark.parametrize("point", [(0.0, 5.3), (5.4, 1.0), (-5.4, 1.0), (0.0, -0.2)])
@@ -237,10 +253,12 @@ def test_gradient_rejects_near_boundary(flat_small):
         gradient(u, (0.0, 0.1))
 
 
-def test_gradient_spot_oracle(oracle_flat):
-    domain, u = oracle_flat
-    target = np.linalg.norm(halfplane.arc_measure_gradient((0.0, 2.0), -1.0, 1.0))
-    assert target == pytest.approx(2 / (5 * np.pi))
+def test_gradient_spot_oracle(kernel_flat):
+    # |grad u| at (0, 2) in the half-strip: 2 / (5 pi) on the half-plane
+    domain, u = kernel_flat
+    target = np.linalg.norm(halfstrip_arc_gradient((0.0, 2.0), -1.0, 1.0,
+                                                   domain.config.box_halfwidth))
+    assert target == pytest.approx(0.119371, abs=1e-6)
     assert abs(np.linalg.norm(gradient(u, (0.0, 2.0))) - target) < 1e-3
 
 
@@ -471,12 +489,11 @@ def test_kernel_band_memory(kernel_flat):
 
 
 @pytest.mark.parametrize("point", [(0.0, 0.5), (0.0, 2.0), (0.7, 4.2)])
-@pytest.mark.parametrize("far_field", ["zero", "halfplane"])
-def test_kernel_measure_is_a_kernel_closure_row(far_field, point):
+def test_kernel_measure_is_a_kernel_closure_row(point):
     # within the kernel band the masses are a band row, above it one
     # adjoint solve; either way the mass at node j is the value at the
     # point of the extension of e_j in the same closure
-    domain = build_domain(_flat_cfg(far_field=far_field))
+    domain = build_domain(_flat_cfg())
     m = kernel_measure(domain, point)
     at = domain.index(*domain.snap_point(point))
     for j in (0, 37, domain.nx // 2, domain.nx - 1):
@@ -523,18 +540,14 @@ def _full_lu(domain, mode):
 def _band_full_solve(domain):
     """The band and pole masses from nx solves of the whole kernel closure:
     the reference for the strip solve of ``DiscreteDomain.kernel_table``."""
-    lu, B, X = _full_lu(domain, domain.kernel_mode)
+    lu, B, _ = _full_lu(domain, "reflect")
     nx = domain.nx
     band = np.empty((domain.band_rows + 1, nx, nx))
     band[0] = np.eye(nx)
     gather = np.array([domain.index(np.arange(nx), domain.jb + m)
                        for m in range(1, domain.band_rows + 1)])
     pidx = domain.index(*domain.snap_point(domain.config.pole))
-    rhs = B.toarray()
-    oracle = domain.far_field_oracle()
-    if oracle is not None:
-        rhs += X @ oracle
-    sol = lu.solve(rhs)
+    sol = lu.solve(B.toarray())
     band[1:] = sol[gather, :]
     return band, sol[pidx, :]
 
@@ -550,17 +563,13 @@ def _tooth_cfg(pole=(3.0, 1.0), **kw):
 
 
 _STRIP_GRIDS = {
-    "halfplane": _flat_cfg(far_field="halfplane"),
     # short flat boxes, and a pole above the kernel band's top level
     "box0": _flat_cfg(box_height=1.1),
     "box1": _flat_cfg(box_height=1.2),
     "box2": _flat_cfg(box_height=1.3),
-    "box2_halfplane": _flat_cfg(box_height=1.3, far_field="halfplane"),
     "pole_above_band": _flat_cfg(pole=(0.0, 1.5)),
-    "pole_above_band_halfplane": _flat_cfg(pole=(0.0, 1.5), far_field="halfplane"),
-    # a halfplane grid with a 1-row box
-    "halfplane_box1": _flat_cfg(box_halfwidth=2.0, box_height=2.0, grid_spacing=1.0,
-                                far_field="halfplane"),
+    # a flat grid with a 1-row box
+    "flat_box1": _flat_cfg(box_halfwidth=2.0, box_height=2.0, grid_spacing=1.0),
     # a tall tooth in short boxes: the box above the strip has 0, 1 and 2
     # rows, and with none the strip is the whole grid, its top row coupled
     # to the region above; the pole beside the tooth sits in the strip
@@ -592,8 +601,8 @@ def test_strip_band_matches_full_solve(name, request):
 
 
 @pytest.mark.parametrize("cfg", [_flat_cfg(graph=LipschitzGraph.sawtooth(0.5, 2, 1.0)),
-                                 _STRIP_GRIDS["teeth_down"], _STRIP_GRIDS["halfplane"]],
-                         ids=["teeth_up", "teeth_down", "halfplane"])
+                                 _STRIP_GRIDS["teeth_down"]],
+                         ids=["teeth_up", "teeth_down"])
 def test_band_does_not_depend_on_the_solve_chunk(cfg, monkeypatch):
     # the strip is solved in chunks of right-hand sides, and the box levels
     # come from one top-row array that the chunks fill: a chunk of 7 (101
@@ -618,8 +627,7 @@ def test_exit_rows_build_only_the_box_walls(name):
     from lipvar.domain_field.grid import _exit_row
 
     domain = build_domain(_STRIP_GRIDS[name])
-    oracle = domain.far_field_oracle()
-    for mode in ("absorb", domain.kernel_mode):
+    for mode in ("absorb", "reflect"):
         c = domain._strip_solver(mode)
         for point in (domain.config.pole, _box_point(domain)):
             i, j = domain.snap_point(point)
@@ -627,16 +635,13 @@ def test_exit_rows_build_only_the_box_walls(name):
             e[domain.index(i, j)] = 1.0
             g = c.adjoint(e)
             s, box = c.B.T @ g, c.X.T @ g
-            if oracle is not None:
-                s = s + oracle.T @ box
-                box = box * (1.0 - oracle.sum(axis=1))
             got_s, got_box = _exit_row(domain, mode, i, j)
             total = np.abs(s).sum() + np.abs(box).sum()
             assert np.abs(got_s - s).max() <= 1e-15 * total
             assert np.abs(got_box - box).max() <= 1e-15 * total
 
 
-# grids of the reflecting closure with no column step above one row
+# grids with no column step above one row
 _BAND_POWER_GRIDS = ["flat_small", "saw_small", "box0", "box1", "box2", "pole_above_band",
                      "lopsided", "teeth_down"]
 
@@ -659,12 +664,10 @@ def test_integer_powers_are_band_levels(name, request):
         domain.row_power(None, domain.band_rows + 1)
 
 
-@pytest.mark.parametrize("name, cause", [("saw_steep", "column step of 2 grid rows"),
-                                         ("halfplane", "absorbing kernel closure")],
-                         ids=["saw_steep", "halfplane"])
+@pytest.mark.parametrize("name, cause", [("saw_steep", "column step of 2 grid rows")],
+                         ids=["saw_steep"])
 def test_no_powers_where_band_levels_are_not_powers(name, cause, request):
-    # a column step of two rows (saw_steep) lets a walk skip a level, and the
-    # absorbing closure of halfplane domains is not shift-invariant: band
+    # a column step of two rows (saw_steep) lets a walk skip a level: band
     # level n is not G^n, so no power of G exists there, while the band's
     # own rows still serve the same heights
     domain = _strip_grid(name, request)
@@ -726,7 +729,7 @@ def test_strip_grids_cover_the_box_cases():
     assert [d.strip_top == d.ny - 1 for d in boxes] == [True, False, False]
     for d in boxes:
         assert d.snap_point(d.config.pole)[1] <= d.strip_top
-    d = build_domain(_STRIP_GRIDS["halfplane_box1"])
+    d = build_domain(_STRIP_GRIDS["flat_box1"])
     assert _box_rows(d) == 1 and d.strip_top == d.ny - 2
     d = domains["tooth_pole_in_box"]
     pi, pj = d.snap_point(d.config.pole)
@@ -738,7 +741,7 @@ def test_strip_holds_only_the_graph_rows(name, request):
     # the strip stops at the lowest row above every graph node, so it has
     # sum_i (jt - jb_i) unknowns: nx on a flat grid with a box above it
     domain = _strip_grid(name, request)
-    c = domain._strip_solver(domain.kernel_mode)
+    c = domain._strip_solver("reflect")
     jt = domain.strip_top
     assert len(c.strip) == (jt - domain.jb).sum()
     if c.rows:
@@ -778,20 +781,14 @@ def _box_point(domain):
 @pytest.mark.parametrize("name", ["flat_small", "saw_small", "saw_steep", *_STRIP_GRIDS])
 def test_every_solve_matches_full_solve(name, request):
     domain = _strip_grid(name, request)
-    oracle = domain.far_field_oracle()
     tol = 1e-13
     data = np.cos(domain.xs) + 0.1 * domain.xs
     full = {mode: _full_lu(domain, mode) for mode in ("reflect", "absorb")}
-    # Dirichlet solves of both closures, with the far-field box data on the
-    # absorbing closure of halfplane domains
-    for mode, (lu, B, X) in full.items():
-        box_data = oracle @ data if mode == "absorb" and oracle is not None else None
-        rhs = B @ data + (X @ box_data if box_data is not None else 0.0)
-        assert np.abs(domain.solve_dirichlet(data, mode, box_data)
-                      - lu.solve(rhs)).max() <= tol
-    lu, B, X = full[domain.kernel_mode]
-    rhs = B @ data + (X @ (oracle @ data) if oracle is not None else 0.0)
-    assert np.abs(harmonic_extension(domain, data).values - lu.solve(rhs)).max() <= tol
+    # Dirichlet solves of both closures
+    for mode, (lu, B, _) in full.items():
+        assert np.abs(domain.solve_dirichlet(data, mode) - lu.solve(B @ data)).max() <= tol
+    lu, B, _ = full["reflect"]
+    assert np.abs(harmonic_extension(domain, data).values - lu.solve(B @ data)).max() <= tol
     # harmonic measure and Green's function: a source in the strip and one in
     # the box
     lu, B, X = full["absorb"]
@@ -801,33 +798,26 @@ def test_every_solve_matches_full_solve(name, request):
         g = lu.solve(e)
         assert np.abs(greens_function(domain, point).values - g).max() <= tol
         s, box = B.T @ g, X.T @ g
-        if oracle is not None:
-            s = s + oracle.T @ box
-            box = box * (1.0 - oracle.sum(axis=1))
         m = harmonic_measure(domain, point)
         assert np.abs(m.s_masses - s).max() <= tol
         assert abs(m.box_side_mass - box[:2 * domain.ny].sum()) <= tol
         assert abs(m.box_top_mass - box[2 * domain.ny:].sum()) <= tol
     # kernel measure from above the band: the transposed solve
-    lu, B, X = full[domain.kernel_mode]
+    lu, B, _ = full["reflect"]
     point = _box_point(domain)
     e = np.zeros(domain.n_interior)
     e[domain.index(*domain.snap_point(point))] = 1.0
     g = lu.solve(e, trans="T")
-    s = B.T @ g + (oracle.T @ (X.T @ g) if oracle is not None else 0.0)
-    assert np.abs(kernel_measure(domain, point).s_masses - s).max() <= tol
+    assert np.abs(kernel_measure(domain, point).s_masses - B.T @ g).max() <= tol
 
 
-@pytest.mark.parametrize("far_field", ["zero", "halfplane"])
-def test_box_elimination_is_the_box_inverse(far_field):
+def test_box_elimination_is_the_box_inverse():
     # the box solve against a sparse LU of the box block with the strip's
-    # top row as bottom-row data; on halfplane domains the box data are the
-    # far-field ghost data
-    domain = build_domain(_flat_cfg(box_halfwidth=3.0, box_height=2.0,
-                                    far_field=far_field))
-    c = domain._strip_solver(domain.kernel_mode)
+    # top row as bottom-row data
+    domain = build_domain(_flat_cfg(box_halfwidth=3.0, box_height=2.0))
+    c = domain._strip_solver("reflect")
     assert c.rows >= 2
-    A, _, X = _closure_matrix(domain, domain.kernel_mode)
+    A, _, _ = _closure_matrix(domain, "reflect")
     box = c.box
     Abox = A[box][:, box].tocsc()
     lu = spla.splu(Abox)
@@ -843,8 +833,7 @@ def test_box_elimination_is_the_box_inverse(far_field):
     bottom = np.flatnonzero(np.isin(box, domain.index(cols, domain.strip_top + 1)))
     E = np.zeros((len(box), domain.nx))
     E[bottom, cols] = 1.0
-    oracle = domain.far_field_oracle()
-    fb = X[box] @ oracle if oracle is not None else np.random.default_rng(3).random(E.shape)
+    fb = np.random.default_rng(3).random(E.shape)
     v = np.random.default_rng(4).random((domain.nx, domain.nx))
     modes = c.box_modes(fb)
     ref = box_solve(fb + E @ v)
@@ -929,8 +918,7 @@ def test_no_solve_factors_the_whole_grid(monkeypatch):
     monkeypatch.setattr(grid, "splu", splu)
     monkeypatch.setattr(grid, "lu_factor", lu_factor)
     saw = LipschitzGraph.sawtooth(0.5, 2, 1.0)
-    for cfg, closures in ((_flat_cfg(), 2), (_flat_cfg(far_field="halfplane"), 1),
-                          (_flat_cfg(graph=saw), 2)):
+    for cfg in (_flat_cfg(), _flat_cfg(graph=saw)):
         shapes.clear()
         dense.clear()
         domain = build_domain(cfg)
@@ -941,9 +929,9 @@ def test_no_solve_factors_the_whole_grid(monkeypatch):
         point = _box_point(domain)
         assert domain.snap_point(point)[1] - domain.jb.max() > domain.band_rows
         kernel_measure(domain, point)
-        assert len(shapes) == closures
+        assert len(shapes) == 2
         assert all(n < domain.n_interior for n, _ in shapes)
-        assert dense == [(domain.nx, domain.nx)] * closures
+        assert dense == [(domain.nx, domain.nx)] * 2
 
 
 # -- assembly ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from closed_forms import halfstrip_arc_gradient, halfstrip_density
 
 from lipvar import checks
 from lipvar import kernels as K
@@ -9,7 +10,6 @@ from lipvar.domain_field import (
     LipschitzGraph,
     arc_indicator,
     build_domain,
-    halfplane,
     harmonic_extension,
     kernel_measure,
 )
@@ -31,12 +31,14 @@ def test_martin_kernel_at_pole_is_one(flat_small):
     assert np.abs(row - 1.0).max() < 1e-12
 
 
-def test_martin_kernel_spot_oracle(oracle_flat):
-    domain, _ = oracle_flat
+def test_martin_kernel_spot_oracle(kernel_flat):
+    # the half-strip's density ratio: 0.5 on the half-plane
+    domain, _ = kernel_flat
+    W = domain.config.box_halfwidth
     i0 = domain.nx // 2
     val = _martin_kernel(domain, (0.0, 2.0))[i0]
-    target = halfplane.martin_ratio((0.0, 2.0), (0.0, 1.0), 0.0)
-    assert target == pytest.approx(0.5)
+    target = halfstrip_density((0.0, 2.0), 0.0, W) / halfstrip_density((0.0, 1.0), 0.0, W)
+    assert target == pytest.approx(0.518792, abs=1e-6)
     assert abs(val - target) < 1e-2
 
 
@@ -73,14 +75,16 @@ def test_k_rejects_below_resolution(flat_small):
         K.build_k(domain, domain.h)
 
 
-def test_k_closed_form(oracle_flat):
-    domain, _ = oracle_flat
+def test_k_closed_form(kernel_flat):
+    # the half-strip's density ratio P_y(x, xi) / P_1(0, xi), every target node
+    domain, _ = kernel_flat
+    W = domain.config.box_halfwidth
     y = 0.5
     k = K.build_k(domain, y)
     core = np.abs(domain.xs) <= 4.0
     xi = domain.xs
-    exact = np.array([y * (xi ** 2 + 1) / ((x - xi) ** 2 + y ** 2)
-                      for x in domain.xs[core]])
+    exact = np.array([halfstrip_density((x, y), xi, W) for x in domain.xs[core]])
+    exact /= halfstrip_density((0.0, 1.0), xi, W)
     rel = np.abs(k.entries[core] - exact) / exact
     assert rel.max() < 0.02
 
@@ -172,11 +176,15 @@ def test_c_gradient_identity(kernel_flat):
         assert rel.max() < 0.02
 
 
-def test_c_spot_oracle(oracle_flat):
-    domain, u = oracle_flat
+def test_c_spot_oracle(kernel_flat):
+    # |grad u| at (0, 2) in the half-strip: 2 / (5 pi) on the half-plane
+    domain, u = kernel_flat
     i0 = domain.nx // 2
+    target = np.linalg.norm(halfstrip_arc_gradient((0.0, 2.0), -1.0, 1.0,
+                                                   domain.config.box_halfwidth))
+    assert target == pytest.approx(0.119371, abs=1e-6)
     got = K.apply_c(domain, u, 1.0, u.rows(1.0))[i0]
-    assert abs(got - 2 / (5 * np.pi)) < 1e-3
+    assert abs(got - target) < 1e-3
 
 
 def test_c_bounded_by_k_over_y(flat_small):
@@ -309,16 +317,14 @@ def test_b_segment_martin_cell_matches_node_kernels(grid, request):
     assert _rel_sup(b.entries, ref) <= 1e-13
 
 
-# (grid, segment with ends on multiples of h/2): a flat grid and a tall
-# sawtooth, whose eigenbasis is ill-conditioned.  The ids `eigen` and `log`
-# name the two grids after the power paths they took when powers had two
-# paths; the ids are kept so that the test names stay stable.  Near its 2h floor
-# the tall sawtooth's b_y varies fast enough for the four-node cells to miss
-# by 8.7e-12 on [0.3, 0.4]; on [0.5, 0.7] they miss by 6e-14.
+# (grid, segment with ends on multiples of h/2): a flat grid (id `flat`) and
+# a tall sawtooth whose eigenbasis is ill-conditioned (id `saw`).  Near its
+# 2h floor the tall sawtooth's b_y varies fast enough for the four-node
+# cells to miss by 8.7e-12 on [0.3, 0.4]; on [0.5, 0.7] they miss by 6e-14.
 POWER_GRIDS = [("kernel_flat", (0.3, 0.4)), ("saw_tall_u", (0.5, 0.7))]
 
 
-@pytest.mark.parametrize("grid, lattice_seg", POWER_GRIDS, ids=["eigen", "log"])
+@pytest.mark.parametrize("grid, lattice_seg", POWER_GRIDS, ids=["flat", "saw"])
 def test_b_segment_matches_refined_reference(grid, lattice_seg, request):
     domain, u = request.getfixturevalue(grid)
     b = K.build_b_segment(domain, u, lattice_seg, family="power").entries
@@ -328,7 +334,7 @@ def test_b_segment_matches_refined_reference(grid, lattice_seg, request):
     assert _rel_sup(partial, _refined_power_b(domain, u, 0.33, 0.41)) <= 2e-6
 
 
-@pytest.mark.parametrize("grid, lattice_seg", POWER_GRIDS, ids=["eigen", "log"])
+@pytest.mark.parametrize("grid, lattice_seg", POWER_GRIDS, ids=["flat", "saw"])
 def test_b_segment_split_additive_off_lattice(grid, lattice_seg, request):
     domain, u = request.getfixturevalue(grid)
     a, b = lattice_seg
@@ -340,7 +346,7 @@ def test_b_segment_split_additive_off_lattice(grid, lattice_seg, request):
     assert _rel_sup(split, whole) <= 1e-12
 
 
-@pytest.mark.parametrize("grid, lattice_seg", POWER_GRIDS, ids=["eigen", "log"])
+@pytest.mark.parametrize("grid, lattice_seg", POWER_GRIDS, ids=["flat", "saw"])
 def test_cell_kernels_stack_power_rows(grid, lattice_seg, request):
     domain, u = request.getfixturevalue(grid)
     half = domain.h / 2
@@ -403,7 +409,7 @@ def test_log_path_powers_match_schur_pade(saw_tall):
         assert _rel_sup(domain.power_rows(y), ref) <= 1e-12
 
 
-@pytest.mark.parametrize("grid", ["kernel_flat", "saw_tall_u"], ids=["eigen", "log"])
+@pytest.mark.parametrize("grid", ["kernel_flat", "saw_tall_u"], ids=["flat", "saw"])
 def test_row_power_matches_power_rows(grid, request):
     domain, _ = request.getfixturevalue(grid)
     rows = np.random.default_rng(3).standard_normal((2, domain.nx))
@@ -455,8 +461,8 @@ def test_power_rows_do_not_depend_on_call_history(graph, pole):
 # -- harnack exponent ---------------------------------------------------------------
 
 
-def test_harnack_alpha_flat(oracle_flat):
-    domain, _ = oracle_flat
+def test_harnack_alpha_flat(kernel_flat):
+    domain, _ = kernel_flat
     pairs = [(y1, y2) for y1 in (0.1, 0.2, 0.4) for y2 in (0.2, 0.4, 0.8, 1.0)
              if y1 <= y2]
     fit = K.harnack_alpha(domain, pairs)

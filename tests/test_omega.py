@@ -38,10 +38,9 @@ from lipvar.omega import (
 from lipvar.variation_measure import vertical_variation
 
 EPS = 0.05
-# the ids `eigen` (flat) and `log` (sawtooth) name each grid after the power
-# path it took when powers had two paths, kept so the test names stay stable
+# a flat grid and a tall sawtooth whose eigenbasis is ill-conditioned
 SWEEP_GRIDS = pytest.mark.parametrize("grid", ["flat_small", "saw_tall_u"],
-                                      ids=["eigen", "log"])
+                                      ids=["flat", "saw"])
 
 
 def _rel_sup(a, ref):
@@ -127,6 +126,18 @@ def test_workspace_rejects_field_of_another_domain(flat_small, saw_small):
     _, u_saw = saw_small
     with pytest.raises(ConfigError):
         omega_tilde(domain, u_saw, Segment(0.2, 0.4), EPS)
+
+
+def test_b_entries_match_build_b_segment_and_refuse_the_floor(flat_small):
+    # b_additivity reads b through the workspace: the same cells as
+    # build_b_segment, bit for bit, and the same refusal below the 2h floor
+    domain, u = flat_small
+    ws = _workspace(domain, u)
+    for seg in (Segment(0.2, 0.4), Segment(0.2, 0.3), Segment(0.3, 0.4)):
+        b = K._mass_to_kernel(domain, ws.b_entries(seg))
+        assert np.array_equal(b, K.build_b_segment(domain, u, seg, family="power").entries)
+    with pytest.raises(ResolutionError, match="2h floor"):
+        ws.b_entries(Segment(0.15, 0.4))
 
 
 def test_excluded_nodes_carry_no_density(monkeypatch):
@@ -522,7 +533,7 @@ def test_adjoint_sweep_at_eps_zero_is_a_kernel_row(grid, request):
         assert _rel_sup(gamma, krow) <= 1e-12
 
 
-@pytest.mark.parametrize("grid", ["kernel_flat", "readme_saw"], ids=["eigen", "log"])
+@pytest.mark.parametrize("grid", ["kernel_flat", "readme_saw"], ids=["flat", "saw"])
 def test_adjoint_sweep_off_kink_converges(grid, request):
     # h = 0.05: both points lie inside h/2 cells and above the 2h floor
     domain, u = request.getfixturevalue(grid)
@@ -562,7 +573,7 @@ def test_adjoint_sweep_rejects_heights_off_the_range(flat_small):
         adjoint_sweep(domain, u, EPS, kappa, [1.2, 0.4])
 
 
-@pytest.mark.parametrize("grid", ["flat_small", "saw_tall_u"], ids=["eigen", "log"])
+@pytest.mark.parametrize("grid", ["flat_small", "saw_tall_u"], ids=["flat", "saw"])
 def test_adjoint_sweep_of_a_stack_sweeps_each_row(grid, request):
     domain, u = request.getfixturevalue(grid)
     stack = np.stack([kernel_measure(domain, (x, 1.0)).s_masses for x in (-2.5, 0.0, 2.5)])
@@ -588,7 +599,6 @@ def test_ladder_matches_romberg_over_pi_products(grid, request):
            for n in (8, 9, 10)}
     first = {n: 2 * pis[n] - pis[n - 1] for n in (9, 10)}
     romberg = (4 * first[10] - first[9]) / 3
-    romberg[domain.excluded_nodes, :] = 0.0  # the ladder's rows start from the identity
     ladder = OmegaLadder(domain, u, EPS, [0.4])
     assert _rel_sup(ladder.omega_y(0.4).entries, romberg) <= 1e-7
 
@@ -600,7 +610,6 @@ def test_ladder_at_eps_zero_is_the_power_kernel(grid, request):
     ladder = OmegaLadder(domain, u, 0.0, ys)
     for y in ys:
         kref = K.build_k(domain, 1.0 - y, "power").entries
-        kref[domain.excluded_nodes, :] = 0.0
         assert _rel_sup(ladder.omega_y(y).entries, kref) <= 1e-12
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from closed_forms import halfstrip_arc_gradient, halfstrip_density
 
 from lipvar import kernels as K
 from lipvar.domain_field import (
     grid,
-    halfplane,
     harmonic_extension,
     kernel_measure,
 )
@@ -51,19 +51,18 @@ def test_variation_dominates_vertical_gradient(flat_small):
     assert (grad_int - V.values).max() <= 1e-2
 
 
-def test_variation_closed_form_flat(oracle_flat):
-    # independent oracle: half-plane convolution of the closed-form gradient
-    domain, u = oracle_flat
+def test_variation_closed_form_flat(kernel_flat):
+    # independent oracle: the half-strip convolution of the closed-form gradient
+    domain, u = kernel_flat
+    W = domain.config.box_halfwidth
     V = vertical_variation(domain, u)
     i0 = domain.nx // 2
     ys = np.linspace(V.y_min, 1.0, 201)
-    xi = np.linspace(-30.0, 30.0, 3001)
+    xi = np.linspace(-W, W, 1601)
     vals = []
     for y in ys:
-        gn = np.linalg.norm(
-            np.stack([halfplane.arc_measure_gradient((x, 2 * y), -1.0, 1.0)
-                      for x in xi]), axis=1)
-        dens = halfplane.poisson_density((0.0, y), xi)
+        gn = np.linalg.norm(halfstrip_arc_gradient((xi, 2 * y), -1.0, 1.0, W), axis=0)
+        dens = halfstrip_density((0.0, y), xi, W)
         vals.append(np.trapezoid(dens * gn, xi))
     oracle = np.trapezoid(vals, ys)
     assert abs(V.values[i0] - oracle) <= 0.05 * oracle
@@ -200,11 +199,10 @@ def test_vector_paths_form_no_stencil_matrices(saw_small, monkeypatch):
     assert abs(nu.total - 1.0) < 1e-2 and np.all(np.isfinite(V.values))
 
 
-@pytest.mark.parametrize("grid_name", ["flat_small", "saw_small", "oracle_flat"])
+@pytest.mark.parametrize("grid_name", ["flat_small", "saw_small", "kernel_flat"])
 def test_bump_extensions_are_the_dirichlet_extensions(grid_name, request):
     # nu_limit's test functions are band products; they equal the Dirichlet
-    # extensions of the bumps read at SIGMA_HEIGHT, under either kernel
-    # closure (reflecting, and absorbing with the far-field oracle)
+    # extensions of the bumps read at SIGMA_HEIGHT
     domain, _ = request.getfixturevalue(grid_name)
     alphas = bump_extensions(domain)
     centers = np.linspace(-2.0, 2.0, N_ALPHA)
