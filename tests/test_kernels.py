@@ -317,14 +317,16 @@ def test_b_segment_martin_cell_matches_node_kernels(grid, request):
     assert _rel_sup(b.entries, ref) <= 1e-13
 
 
-# (grid, segment with ends on multiples of h/2): a flat grid (id `flat`) and
-# a tall sawtooth whose eigenbasis is ill-conditioned (id `saw`).  Near its
-# 2h floor the tall sawtooth's b_y varies fast enough for the four-node
-# cells to miss by 8.7e-12 on [0.3, 0.4]; on [0.5, 0.7] they miss by 6e-14.
+# (grid, segment with ends on multiples of h/2): a flat grid and a tall
+# sawtooth, whose eigenbasis is ill-conditioned.  The ids `eigen` and `log`
+# name the two grids after the power paths they took when powers had two
+# paths; the ids are kept so that the test names stay stable.  Near its 2h floor
+# the tall sawtooth's b_y varies fast enough for the four-node cells to miss
+# by 8.7e-12 on [0.3, 0.4]; on [0.5, 0.7] they miss by 6e-14.
 POWER_GRIDS = [("kernel_flat", (0.3, 0.4)), ("saw_tall_u", (0.5, 0.7))]
 
 
-@pytest.mark.parametrize("grid, lattice_seg", POWER_GRIDS, ids=["flat", "saw"])
+@pytest.mark.parametrize("grid, lattice_seg", POWER_GRIDS, ids=["eigen", "log"])
 def test_b_segment_matches_refined_reference(grid, lattice_seg, request):
     domain, u = request.getfixturevalue(grid)
     b = K.build_b_segment(domain, u, lattice_seg, family="power").entries
@@ -334,7 +336,7 @@ def test_b_segment_matches_refined_reference(grid, lattice_seg, request):
     assert _rel_sup(partial, _refined_power_b(domain, u, 0.33, 0.41)) <= 2e-6
 
 
-@pytest.mark.parametrize("grid, lattice_seg", POWER_GRIDS, ids=["flat", "saw"])
+@pytest.mark.parametrize("grid, lattice_seg", POWER_GRIDS, ids=["eigen", "log"])
 def test_b_segment_split_additive_off_lattice(grid, lattice_seg, request):
     domain, u = request.getfixturevalue(grid)
     a, b = lattice_seg
@@ -346,7 +348,7 @@ def test_b_segment_split_additive_off_lattice(grid, lattice_seg, request):
     assert _rel_sup(split, whole) <= 1e-12
 
 
-@pytest.mark.parametrize("grid, lattice_seg", POWER_GRIDS, ids=["flat", "saw"])
+@pytest.mark.parametrize("grid, lattice_seg", POWER_GRIDS, ids=["eigen", "log"])
 def test_cell_kernels_stack_power_rows(grid, lattice_seg, request):
     domain, u = request.getfixturevalue(grid)
     half = domain.h / 2
@@ -409,7 +411,7 @@ def test_log_path_powers_match_schur_pade(saw_tall):
         assert _rel_sup(domain.power_rows(y), ref) <= 1e-12
 
 
-@pytest.mark.parametrize("grid", ["kernel_flat", "saw_tall_u"], ids=["flat", "saw"])
+@pytest.mark.parametrize("grid", ["kernel_flat", "saw_tall_u"], ids=["eigen", "log"])
 def test_row_power_matches_power_rows(grid, request):
     domain, _ = request.getfixturevalue(grid)
     rows = np.random.default_rng(3).standard_normal((2, domain.nx))

@@ -38,9 +38,10 @@ from lipvar.omega import (
 from lipvar.variation_measure import vertical_variation
 
 EPS = 0.05
-# a flat grid and a tall sawtooth whose eigenbasis is ill-conditioned
+# the ids `eigen` (flat) and `log` (sawtooth) name each grid after the power
+# path it took when powers had two paths, kept so the test names stay stable
 SWEEP_GRIDS = pytest.mark.parametrize("grid", ["flat_small", "saw_tall_u"],
-                                      ids=["flat", "saw"])
+                                      ids=["eigen", "log"])
 
 
 def _rel_sup(a, ref):
@@ -533,7 +534,7 @@ def test_adjoint_sweep_at_eps_zero_is_a_kernel_row(grid, request):
         assert _rel_sup(gamma, krow) <= 1e-12
 
 
-@pytest.mark.parametrize("grid", ["kernel_flat", "readme_saw"], ids=["flat", "saw"])
+@pytest.mark.parametrize("grid", ["kernel_flat", "readme_saw"], ids=["eigen", "log"])
 def test_adjoint_sweep_off_kink_converges(grid, request):
     # h = 0.05: both points lie inside h/2 cells and above the 2h floor
     domain, u = request.getfixturevalue(grid)
@@ -573,7 +574,7 @@ def test_adjoint_sweep_rejects_heights_off_the_range(flat_small):
         adjoint_sweep(domain, u, EPS, kappa, [1.2, 0.4])
 
 
-@pytest.mark.parametrize("grid", ["flat_small", "saw_tall_u"], ids=["flat", "saw"])
+@pytest.mark.parametrize("grid", ["flat_small", "saw_tall_u"], ids=["eigen", "log"])
 def test_adjoint_sweep_of_a_stack_sweeps_each_row(grid, request):
     domain, u = request.getfixturevalue(grid)
     stack = np.stack([kernel_measure(domain, (x, 1.0)).s_masses for x in (-2.5, 0.0, 2.5)])
